@@ -7,6 +7,13 @@ partial order, the compatible quasi-orders extending it play the same role
 for ordered structures: their minimal nontrivial members (atoms) and the
 maximal ones avoiding each atom (meet complements) mark the natural seams
 along which the structure decomposes.
+
+Both searches close a relation under multiplication. Every element is a
+product of the generators, so closing under x -> xg and x -> gx for each
+generator g closes under every element: a table that carries its
+"generators" is closed under 2|A| translations. Without them, or when they
+do not generate the table, every element serves as a generator; the result
+is the same, only slower.
 """
 
 from dataclasses import dataclass
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .semigroup import Poset
+from .semigroup import Poset, transitive_closure
 
 
 def _canonical(assign):
@@ -50,10 +57,49 @@ class Congruence:
         return dict(zip(self.labels, self.vector))
 
 
-def _substitution_closure(table, assign):
-    """Coarsen until x ~ y forces xg ~ yg and gx ~ gy for every g."""
-    n = len(table)
-    parent = list(range(n))
+def _translations(sg):
+    """Right maps x -> xg, then left maps x -> gx, one row per generator g.
+
+    The generators are the table's own when they generate it, else every
+    element.
+    """
+    n = sg.order
+    t = np.asarray(sg.index_table(), dtype=int).reshape(n, n)
+    gens = sorted({g for _, g in sg.generator_elements() if g is not None})
+    reached = np.zeros(n, dtype=bool)
+    reached[gens] = True
+    frontier = np.asarray(gens, dtype=int)
+    while frontier.size:
+        step = np.unique(t[np.ix_(frontier, gens)])
+        frontier = step[~reached[step]]
+        reached[frontier] = True
+    if not reached.all():
+        gens = list(range(n))
+    return t, np.concatenate([t[:, gens].T, t[gens, :]])
+
+
+def _quotient_merge(t, assign):
+    """Pairs of classes whose quotient rows and columns are identical.
+
+    This goes past the smallest congruence joining a seed pair: classes the
+    quotient table cannot tell apart are merged too, which the reference
+    decompositions rely on. `assign` is a congruence, so any member stands
+    for its class.
+    """
+    _, reps, cls = np.unique(assign, return_index=True, return_inverse=True)
+    q = cls[t[np.ix_(reps, reps)]]
+    first = {}
+    pairs = []
+    for r, row, col in zip(reps.tolist(), q, q.T):
+        r0 = first.setdefault(row.tobytes() + col.tobytes(), r)
+        if r0 != r:
+            pairs.append((r0, r))
+    return pairs
+
+
+def _pair_congruence(t, images, a, b):
+    """Smallest congruence joining a and b, then classes merged until stable."""
+    parent = list(range(len(t)))
 
     def find(x):
         while parent[x] != x:
@@ -61,90 +107,32 @@ def _substitution_closure(table, assign):
             x = parent[x]
         return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-            return True
-        return False
-
-    for i in range(n):
-        union(i, assign[i])
-    changed = True
-    while changed:
-        changed = False
-        for x in range(n):
-            for y in range(x + 1, n):
-                if find(x) != find(y):
-                    continue
-                for g in range(n):
-                    if union(table[x][g], table[y][g]):
-                        changed = True
-                    if union(table[g][x], table[g][y]):
-                        changed = True
-    return [find(i) for i in range(n)]
-
-
-def _quotient_merge(table, assign):
-    """Merge classes whose quotient rows and columns are identical."""
-    n = len(table)
-    classes = sorted(set(assign))
-    cix = {c: i for i, c in enumerate(classes)}
-    q = [[cix[assign[table[x][y]]] for y in _reps(assign, classes)] for x in _reps(assign, classes)]
-    m = len(classes)
-    merged = dict(enumerate(range(m)))
-    did = False
-    for u in range(m):
-        for v in range(u + 1, m):
-            same_rows = all(q[u][w] == q[v][w] for w in range(m))
-            same_cols = all(q[w][u] == q[w][v] for w in range(m))
-            if same_rows and same_cols:
-                merged[v] = merged[u]
-                did = True
-    if not did:
-        return assign, False
-    return [classes[merged[cix[assign[x]]]] for x in range(n)], True
-
-
-def _reps(assign, classes):
-    firsts = []
-    for c in classes:
-        firsts.append(assign.index(c))
-    return firsts
-
-
-def _pair_congruence(table, a, b):
-    n = len(table)
-    assign = list(range(n))
-    assign[b] = a
-    while True:
-        assign = _substitution_closure(table, assign)
-        assign, again = _quotient_merge(table, assign)
-        if not again:
-            break
-    return _canonical(assign)
+    pending = [(a, b)]
+    while pending:
+        while pending:
+            x, y = pending.pop()
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[max(rx, ry)] = min(rx, ry)
+                pending.extend(zip(images[x], images[y]))
+        pending = _quotient_merge(t, [find(i) for i in range(len(t))])
+    return _canonical([find(i) for i in range(len(t))])
 
 
 def find_congruences(sg, unique=True):
     """Congruences found by collapsing each pair of elements in turn.
 
     Every unordered pair of distinct elements seeds a search that alternates
-    substitution closure with merging of classes the quotient table can no
-    longer tell apart, until stable. Results are sorted coarsest first
-    (fewer classes last within equal coarseness, ties by class vector).
+    closure under the translations with merging of classes the quotient
+    table can no longer tell apart, until stable. Results are sorted finest
+    first (more classes first, ties by class vector).
     """
-    table = sg.index_table()
-    n = len(table)
-    found = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            found.append(_pair_congruence(table, a, b))
+    t, maps = _translations(sg)
+    images = maps.T.tolist()
+    n = len(t)
+    found = [_pair_congruence(t, images, a, b) for a in range(n) for b in range(a + 1, n)]
     if unique:
-        out = []
-        for v in found:
-            if v not in out:
-                out.append(v)
-        found = out
+        found = list(dict.fromkeys(found))
     found.sort(key=lambda v: (-max(v), v))
     return [Congruence(sg.st, v) for v in found]
 
@@ -202,26 +190,24 @@ class PiRelation:
         return _canonical(assign)
 
 
-def _pi_close(table, base):
-    """Transitive + two-sided multiplicative closure of a relation."""
-    n = len(table)
-    m = base.copy()
-    np.fill_diagonal(m, True)
-    while True:
-        nxt = m | ((m.astype(np.uint8) @ m.astype(np.uint8)) > 0)
-        rows, cols = np.nonzero(nxt)
-        add = []
-        for x, y in zip(rows, cols):
-            for s in range(n):
-                if not nxt[table[x][s]][table[y][s]]:
-                    add.append((table[x][s], table[y][s]))
-                if not nxt[table[s][x]][table[s][y]]:
-                    add.append((table[s][x], table[s][y]))
-        for x, y in add:
-            nxt[x, y] = True
-        if np.array_equal(nxt, m):
-            return m
-        m = nxt
+def _pi_close(maps, closed, pairs):
+    """Smallest compatible quasi-order containing a closed one plus some pairs.
+
+    `closed` is a quasi-order already closed under the translations; `pairs`
+    holds flat cell indices x * n + y. Their translates are added breadth
+    first. Transitive closure keeps a relation closed under the translations
+    (a <= b <= c gives ag <= bg <= cg), so one pass of each reaches the
+    fixpoint.
+    """
+    n = len(closed)
+    m = closed.copy()
+    flat = m.reshape(-1)
+    while pairs.size:
+        flat[pairs] = True
+        rows, cols = np.divmod(pairs, n)
+        step = np.unique(maps[:, rows] * n + maps[:, cols])
+        pairs = step[~flat[step]]
+    return transitive_closure(m)
 
 
 class PiLattice:
@@ -275,18 +261,17 @@ def factorize(sg, po):
     """
     if tuple(po.labels) != tuple(sg.st):
         raise ValidationError("order and table must share their element labels")
-    table = sg.index_table()
-    n = len(table)
+    t, maps = _translations(sg)
+    n = len(t)
     base = np.asarray(po.matrix, dtype=bool)
+    closed = _pi_close(maps, np.eye(n, dtype=bool), np.flatnonzero(base))
     members = [PiRelation(sg.st, base, seed=None)]
     seen = {base.tobytes()}
     for x in range(n):
         for y in range(n):
             if x == y or base[x, y]:
                 continue
-            seeded = base.copy()
-            seeded[x, y] = True
-            q = _pi_close(table, seeded)
+            q = _pi_close(maps, closed, np.array([x * n + y]))
             key = q.tobytes()
             if key not in seen:
                 seen.add(key)

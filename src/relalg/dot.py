@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .netcore import bool_product
 
 _PALETTE = (
     "red", "blue", "forestgreen", "orange",
@@ -42,7 +43,7 @@ def hasse_dot(po, drop_incomparable=False):
         raise ValidationError(f"order contains cycles: {violations}")
     m = np.asarray(po.matrix, dtype=bool)
     strict = m & ~np.eye(len(po.labels), dtype=bool)
-    covers = strict & ~((strict.astype(np.uint8) @ strict.astype(np.uint8)) > 0)
+    covers = strict & ~bool_product(strict, strict)
     keep = list(range(len(po.labels)))
     if drop_incomparable:
         keep = [i for i in keep if strict[i].any() or strict[:, i].any()]

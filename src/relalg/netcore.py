@@ -44,10 +44,12 @@ class RelationMatrix:
         actors = _check_labels(actors)
         index = {a: i for i, a in enumerate(actors)}
         cells = np.zeros((len(actors), len(actors)), dtype=bool)
-        for i, j in ties:
-            if i not in index or j not in index:
-                raise ValidationError(f"tie ({i!r}, {j!r}) names an unknown actor")
-            cells[index[i], index[j]] = True
+        for tie in ties:
+            if not isinstance(tie, (list, tuple)) or len(tie) != 2:
+                raise ValidationError(f"tie {tie!r} is not a (source, target) pair")
+            if not all(isinstance(x, str) and x in index for x in tie):
+                raise ValidationError(f"tie {tuple(tie)!r} names an unknown actor")
+            cells[index[tie[0]], index[tie[1]]] = True
         return cls(name, actors, cells)
 
     @property
@@ -116,8 +118,12 @@ def compose(a, b):
     """
     if a.actors != b.actors:
         raise DimensionError("compose: operands have different actor sets")
-    cells = (a.cells.astype(np.uint8) @ b.cells.astype(np.uint8)) > 0
-    return RelationMatrix(a.name + b.name, a.actors, cells)
+    return RelationMatrix(a.name + b.name, a.actors, bool_product(a.cells, b.cells))
+
+
+def bool_product(a, b):
+    """Boolean matrix product; numpy multiplies bools with or/and, so it never wraps."""
+    return np.asarray(a, dtype=bool) @ np.asarray(b, dtype=bool)
 
 
 def transpose(a):
@@ -215,6 +221,8 @@ def network_from_dict(data):
         raise ValidationError(
             'network JSON needs "actors" and "relations" keys'
         ) from exc
+    if not isinstance(actors, list) or not all(isinstance(a, str) for a in actors):
+        raise ValidationError('"actors" must be a list of strings')
     if not isinstance(relations, list) or not relations:
         raise ValidationError('"relations" must be a nonempty list')
     slices = []
@@ -223,6 +231,8 @@ def network_from_dict(data):
             name, ties = rel["name"], rel["ties"]
         except (KeyError, TypeError) as exc:
             raise ValidationError('each relation needs "name" and "ties"') from exc
+        if not isinstance(ties, list):
+            raise ValidationError(f"relation {name!r}: ties must be a list of pairs")
         slices.append(RelationMatrix.from_ties(name, actors, ties))
     return MultiplexNetwork(actors, slices)
 

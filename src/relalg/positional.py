@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .netcore import MultiplexNetwork, RelationMatrix
-from .semigroup import Poset, _alphabet, _bool_compose, transitive_closure
+from .semigroup import Poset, _words, transitive_closure
 
 
 class RelationBox:
@@ -37,21 +37,11 @@ class RelationBox:
 
 def build_relation_box(net, k=3, include_transposes=False):
     """Stack the images of all words of length 1..k, duplicates included."""
-    if k < 1:
-        raise ValidationError("k must be at least 1")
-    letters = _alphabet(net, include_transposes)
     labels = []
     mats = []
-    level = [((name,), cells) for name, cells in letters]
-    for _ in range(k):
-        for word, img in level:
-            labels.append("".join(word))
-            mats.append(img)
-        level = [
-            (word + (name,), _bool_compose(img, cells))
-            for word, img in level
-            for name, cells in letters
-        ]
+    for word, img in _words(net, k, include_transposes):
+        labels.append("".join(word))
+        mats.append(img)
     return RelationBox(net.actors, labels, mats, k)
 
 

@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from .errors import ClosureTooLargeError, ValidationError
-from .netcore import RelationMatrix, permutation_order
+from .netcore import bool_product, permutation_order
 
 DEFAULT_MAX_CLOSURE = 100_000
 
@@ -22,10 +22,6 @@ def _closure_cap(max_elements):
         return int(max_elements)
     env = os.environ.get("RELALG_MAX_CLOSURE")
     return int(env) if env else DEFAULT_MAX_CLOSURE
-
-
-def _bool_compose(a, b):
-    return (a.astype(np.uint8) @ b.astype(np.uint8)) > 0
 
 
 def _alphabet(net, include_transposes):
@@ -53,13 +49,6 @@ class StringSet:
     def order(self):
         return len(self.st)
 
-    def word_tables(self):
-        """Images wrapped as labeled relations (one per representative)."""
-        return [
-            RelationMatrix(label, self.actors, img)
-            for label, img in zip(self.st, self.images)
-        ]
-
 
 def generate_strings(net, include_transposes=False, max_elements=None):
     """Breadth-first closure of the generator slices under composition.
@@ -86,7 +75,7 @@ def generate_strings(net, include_transposes=False, max_elements=None):
         nxt = []
         for i in frontier:
             for name, cells in letters:
-                img = _bool_compose(images[i], cells)
+                img = bool_product(images[i], cells)
                 key = img.tobytes()
                 if key in seen:
                     continue
@@ -160,7 +149,7 @@ def build_semigroup(strings, fmt="numerical"):
     idx = np.zeros((n, n), dtype=int)
     for i in range(n):
         for j in range(n):
-            key = _bool_compose(strings.images[i], strings.images[j]).tobytes()
+            key = bool_product(strings.images[i], strings.images[j]).tobytes()
             try:
                 idx[i, j] = by_key[key]
             except KeyError:
@@ -178,13 +167,15 @@ def semigroup_from_dict(data):
     algebra (congruences, quotients, Cayley graphs) but not matrix queries.
     """
     try:
-        st = [str(x) for x in data["st"]]
-        table = data["table"]
+        st, table = data["st"], data["table"]
     except (KeyError, TypeError) as exc:
         raise ValidationError('semigroup JSON needs "st" and "table"') from exc
-    n = len(st)
-    if len(table) != n or any(len(row) != n for row in table):
-        raise ValidationError("semigroup table must be square over st")
+    n = len(st) if isinstance(st, list) else -1
+    if not isinstance(table, list) or len(table) != n or any(
+        not isinstance(row, list) or len(row) != n for row in table
+    ):
+        raise ValidationError('semigroup "table" must be square over the "st" list')
+    st = [str(x) for x in st]
     pos = {lbl: i for i, lbl in enumerate(st)}
     idx = np.zeros((n, n), dtype=int)
     fmt = "numerical"
@@ -196,14 +187,49 @@ def semigroup_from_dict(data):
                     raise ValidationError(f"table cell {cell!r} is not in st")
                 idx[i, j] = pos[cell]
             else:
-                if not 1 <= int(cell) <= n:
-                    raise ValidationError(f"table index {cell} out of range")
-                idx[i, j] = int(cell) - 1
-    gens = [(str(lbl), int(i) - 1) for lbl, i in data.get("generators", [])]
+                if not _is_index(cell, n):
+                    raise ValidationError(f"table cell {cell!r} is not an index in 1..{n}")
+                idx[i, j] = cell - 1
+    gens = data.get("generators", [])
+    if not isinstance(gens, list) or not all(
+        isinstance(g, list) and len(g) == 2 and _is_index(g[1], n) for g in gens
+    ):
+        raise ValidationError(f'"generators" must list [letter, index in 1..{n}] pairs')
+    gens = [(str(lbl), i - 1) for lbl, i in gens]
     alphabet = [lbl for lbl, _ in gens]
     words = [(lbl,) for lbl in st]
     strings = StringSet([], alphabet, words, [None] * n, gens or None)
     return Semigroup(strings, idx, fmt)
+
+
+def _is_index(cell, n):
+    return isinstance(cell, int) and not isinstance(cell, bool) and 1 <= cell <= n
+
+
+def _words(net, k, include_transposes):
+    """(word, image) for every word of length 1..k, by length, then letter.
+
+    Raises ClosureTooLargeError before any product when the number of words
+    exceeds the closure cap.
+    """
+    if k < 1:
+        raise ValidationError("k must be at least 1")
+    letters = _alphabet(net, include_transposes)
+    cap = _closure_cap(None)
+    total = 0
+    for d in range(1, k + 1):
+        total += len(letters) ** d
+        if total > cap:
+            raise ClosureTooLargeError(total, cap)
+    level = [((name,), cells) for name, cells in letters]
+    for depth in range(k):
+        if depth:
+            level = [
+                (word + (name,), bool_product(img, cells))
+                for word, img in level
+                for name, cells in letters
+            ]
+        yield from level
 
 
 def equations(net, k, include_transposes=False):
@@ -212,19 +238,9 @@ def equations(net, k, include_transposes=False):
     Keys are the representative labels (first word of each group, which by
     the enumeration order is the lexicographically first shortest one).
     """
-    if k < 1:
-        raise ValidationError("k must be at least 1")
-    letters = _alphabet(net, include_transposes)
     groups = {}
-    level = [((name,), cells) for name, cells in letters]
-    for _ in range(k):
-        for word, img in level:
-            groups.setdefault(img.tobytes(), []).append("".join(word))
-        level = [
-            (word + (name,), _bool_compose(img, cells))
-            for word, img in level
-            for name, cells in letters
-        ]
+    for word, img in _words(net, k, include_transposes):
+        groups.setdefault(img.tobytes(), []).append("".join(word))
     return {
         members[0]: members for members in groups.values() if len(members) > 1
     }
@@ -258,7 +274,7 @@ class Poset:
         return bool(self.matrix.diagonal().all())
 
     def is_transitive(self):
-        return not (_reach_step(self.matrix) & ~self.matrix).any()
+        return not (bool_product(self.matrix, self.matrix) & ~self.matrix).any()
 
     def antisymmetry_violations(self):
         """Mutual pairs of distinct elements (empty for a true poset)."""
@@ -312,16 +328,12 @@ class Poset:
             raise ValidationError('poset JSON needs "labels" and "matrix"') from exc
 
 
-def _reach_step(m):
-    return (m.astype(np.uint8) @ m.astype(np.uint8)) > 0
-
-
 def transitive_closure(matrix):
     """Boolean reflexive-transitive closure by repeated squaring."""
     m = np.asarray(matrix, dtype=bool).copy()
     np.fill_diagonal(m, True)
     while True:
-        nxt = m | _reach_step(m)
+        nxt = m | bool_product(m, m)
         if np.array_equal(nxt, m):
             return m
         m = nxt

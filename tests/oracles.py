@@ -1,11 +1,14 @@
 """Brute-force reference implementations used to cross-check the package.
 
-Everything here works on plain Python data (tuples, sets, frozensets) and is
+Everything here works on plain Python data (tuples, sets, frozensets), or on
+numpy boolean matrices where the package's own results are matrices, and is
 written for clarity over speed. None of it imports the package under test.
 """
 
 import itertools
 from math import comb
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +150,156 @@ def partition_tuple(blocks, n):
             seen[c] = len(seen) + 1
         out.append(seen[c])
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# congruence and pi-relation search, closing under every element
+#
+# These close each relation under multiplication by all N elements, rescanning
+# every related pair on each pass. The package closes under the generator
+# translations instead and must find the same relations in the same order.
+
+
+def _substitution_closure(table, assign):
+    """Coarsen until x ~ y forces xg ~ yg and gx ~ gy for every g."""
+    n = len(table)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+            return True
+        return False
+
+    for i in range(n):
+        union(i, assign[i])
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            for y in range(x + 1, n):
+                if find(x) != find(y):
+                    continue
+                for g in range(n):
+                    if union(table[x][g], table[y][g]):
+                        changed = True
+                    if union(table[g][x], table[g][y]):
+                        changed = True
+    return [find(i) for i in range(n)]
+
+
+def _quotient_merge(table, assign):
+    """Merge classes whose quotient rows and columns are identical."""
+    n = len(table)
+    classes = sorted(set(assign))
+    cix = {c: i for i, c in enumerate(classes)}
+    q = [[cix[assign[table[x][y]]] for y in _reps(assign, classes)] for x in _reps(assign, classes)]
+    m = len(classes)
+    merged = dict(enumerate(range(m)))
+    did = False
+    for u in range(m):
+        for v in range(u + 1, m):
+            same_rows = all(q[u][w] == q[v][w] for w in range(m))
+            same_cols = all(q[w][u] == q[w][v] for w in range(m))
+            if same_rows and same_cols:
+                merged[v] = merged[u]
+                did = True
+    if not did:
+        return assign, False
+    return [classes[merged[cix[assign[x]]]] for x in range(n)], True
+
+
+def _reps(assign, classes):
+    firsts = []
+    for c in classes:
+        firsts.append(assign.index(c))
+    return firsts
+
+
+def _pair_congruence(table, a, b):
+    n = len(table)
+    assign = list(range(n))
+    assign[b] = a
+    while True:
+        assign = _substitution_closure(table, assign)
+        assign, again = _quotient_merge(table, assign)
+        if not again:
+            break
+    return _canonical(assign)
+
+
+def _canonical(assign):
+    """Renumber class ids 1.. by first occurrence."""
+    seen = {}
+    out = []
+    for a in assign:
+        if a not in seen:
+            seen[a] = len(seen) + 1
+        out.append(seen[a])
+    return tuple(out)
+
+
+def congruence_vectors(table):
+    """Class vectors of find_congruences: every pair seeded, unique, finest first."""
+    n = len(table)
+    found = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            found.append(_pair_congruence(table, a, b))
+    out = []
+    for v in found:
+        if v not in out:
+            out.append(v)
+    out.sort(key=lambda v: (-max(v), v))
+    return out
+
+
+def _pi_close(table, base):
+    """Transitive + two-sided multiplicative closure of a relation."""
+    n = len(table)
+    m = base.copy()
+    np.fill_diagonal(m, True)
+    while True:
+        nxt = m | ((m.astype(np.uint8) @ m.astype(np.uint8)) > 0)
+        rows, cols = np.nonzero(nxt)
+        add = []
+        for x, y in zip(rows, cols):
+            for s in range(n):
+                if not nxt[table[x][s]][table[y][s]]:
+                    add.append((table[x][s], table[y][s]))
+                if not nxt[table[s][x]][table[s][y]]:
+                    add.append((table[s][x], table[s][y]))
+        for x, y in add:
+            nxt[x, y] = True
+        if np.array_equal(nxt, m):
+            return m
+        m = nxt
+
+
+def pi_members(table, base):
+    """(seed, matrix) of each factorize member: the order, then new closures."""
+    n = len(table)
+    members = [(None, base)]
+    seen = {base.tobytes()}
+    for x in range(n):
+        for y in range(n):
+            if x == y or base[x, y]:
+                continue
+            seeded = base.copy()
+            seeded[x, y] = True
+            q = _pi_close(table, seeded)
+            key = q.tobytes()
+            if key not in seen:
+                seen.add(key)
+                members.append(((x, y), q))
+    return members
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -151,6 +155,15 @@ class TestSemigroup:
     def test_equations_bad_k(self, runner, files):
         r = runner.invoke(main, ["equations", files["ncc"], "--k", "0"])
         assert r.exit_code == 2
+
+    @pytest.mark.parametrize("command", ["equations", "rbox", "cph"])
+    def test_word_count_over_the_cap_stops_before_enumerating(
+        self, runner, files, command
+    ):
+        # 3 + 9 + ... + 3**11 words over ncc's three slices pass the default cap
+        r = runner.invoke(main, [command, files["ncc"], "--k", "11"])
+        assert r.exit_code == 3
+        assert "closure exceeded 100000 elements" in r.output
 
     def test_order_matrix(self, runner, files):
         r = runner.invoke(main, ["order", files["ncc"]])
@@ -367,6 +380,40 @@ class TestDot:
     def test_unknown_kind(self, runner, files):
         r = runner.invoke(main, ["dot", "spiral", files["ncc"]])
         assert r.exit_code == 2
+
+
+MALFORMED = {
+    "tie-not-a-pair": (
+        "census", {"actors": ["a", "b"], "relations": [{"name": "C", "ties": [["a"]]}]}
+    ),
+    "actors-integer": (
+        "census", {"actors": 5, "relations": [{"name": "C", "ties": []}]}
+    ),
+    "actors-string": (
+        "census", {"actors": "ab", "relations": [{"name": "C", "ties": [["a", "b"]]}]}
+    ),
+    "table-cell-null": ("decomp", {"st": ["a", "b"], "table": [[1, None], [2, 1]]}),
+    "table-cell-fraction": ("decomp", {"st": ["a", "b"], "table": [[1, 1.5], [2, 1]]}),
+    "generator-out-of-range": (
+        "decomp", {"st": ["a", "b"], "table": [[1, 2], [2, 1]], "generators": [["a", 0]]}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_json_exits_2_without_traceback(case, tmp_path):
+    command, data = MALFORMED[case]
+    p = tmp_path / f"{case}.json"
+    p.write_text(json.dumps(data))
+    src = str(pathlib.Path(relalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    r = subprocess.run(
+        [sys.executable, "-m", "relalg.cli", command, str(p)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ")
 
 
 def test_version_flag(runner):

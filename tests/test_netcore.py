@@ -6,8 +6,10 @@ from relalg import (
     MultiplexNetwork,
     RelationMatrix,
     ValidationError,
+    build_relation_box,
     components,
     compose,
+    generate_strings,
     network_from_dict,
     network_to_dict,
     permutation_order,
@@ -16,6 +18,7 @@ from relalg import (
     select_subnetwork,
     transpose,
 )
+from relalg.netcore import bool_product
 
 
 def rel(name, actors, ties):
@@ -60,6 +63,24 @@ class TestCompose:
         assert cf.ties() == [("1", "3")]
         assert compose(f, c).ties() == []
 
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_witness_count_does_not_wrap(self, n):
+        # cell (0, 0) of AB has n witnesses, a multiple of 256
+        actors = [f"a{i}" for i in range(n)]
+        a = np.zeros((n, n), dtype=bool)
+        a[0] = True
+        b = np.zeros((n, n), dtype=bool)
+        b[:, 0] = True
+        assert bool_product(a, b)[0, 0]
+        net = MultiplexNetwork(
+            actors, [RelationMatrix("A", actors, a), RelationMatrix("B", actors, b)]
+        )
+        assert compose(*net.slices).cells[0, 0]
+        strings = generate_strings(net)
+        assert strings.images[strings.st.index("AB")][0, 0]
+        box = build_relation_box(net, k=2)
+        assert box.slices[box.word_labels.index("AB")][0, 0]
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             compose(rel("C", ["a"], []), rel("F", ["a", "b"], []))
@@ -99,6 +120,15 @@ class TestNetwork:
     def test_from_dict_validates(self):
         with pytest.raises(ValidationError):
             network_from_dict({"actors": ["a"]})
+        ties = {"name": "C", "ties": [["a", "b"]]}
+        for actors in (5, "ab", ["a", 1]):
+            with pytest.raises(ValidationError):
+                network_from_dict({"actors": actors, "relations": [ties]})
+        for bad in (5, [["a"]], [["a", "b", "a"]], ["ab"], [[["a"], "b"]]):
+            with pytest.raises(ValidationError):
+                network_from_dict(
+                    {"actors": ["a", "b"], "relations": [{"name": "C", "ties": bad}]}
+                )
 
 
 class TestComponents:

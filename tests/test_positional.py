@@ -1,13 +1,18 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
 import oracles
 from conftest import golden
 from relalg import (
+    ClosureTooLargeError,
     MultiplexNetwork,
     RelationMatrix,
     ValidationError,
     build_relation_box,
+    compose,
     cumulated_hierarchy,
     person_hierarchy,
     reduce_network,
@@ -43,6 +48,22 @@ class TestRelationBox:
     def test_k_validation(self, ncc):
         with pytest.raises(ValidationError):
             build_relation_box(ncc, k=0)
+
+    def test_images_match_word_by_word_composition(self, netcs):
+        box = build_relation_box(netcs, k=3)
+        words = [
+            functools.reduce(compose, w)
+            for k in range(1, 4)
+            for w in itertools.product(netcs.slices, repeat=k)
+        ]
+        assert list(box.word_labels) == [w.name for w in words]
+        for img, w in zip(box.slices, words):
+            assert np.array_equal(img, w.cells)
+
+    def test_word_count_cap_from_environment(self, ncc, monkeypatch):
+        monkeypatch.setenv("RELALG_MAX_CLOSURE", "11")
+        with pytest.raises(ClosureTooLargeError):
+            build_relation_box(ncc, k=2)
 
 
 def _oracle_box(box):

@@ -21,14 +21,18 @@ from relalg import (
     cumulated_hierarchy,
     derive,
     extent,
+    factorize,
     find_congruences,
     generate_strings,
     person_hierarchy,
+    semigroup_from_dict,
     semiring_powers,
+    string_partial_order,
     symmetric_closure,
     transitive_closure,
 )
 from relalg.bundles import bundle_census
+from relalg.decomp import _translations
 from relalg.dot import hasse_dot
 
 COMMON = dict(derandomize=True, deadline=None)
@@ -49,9 +53,9 @@ def relation(draw, n, name="R"):
 
 
 @st.composite
-def network(draw, max_n=3, max_slices=2):
+def network(draw, max_n=3, max_slices=2, min_slices=1):
     n = draw(st.integers(2, max_n))
-    r = draw(st.integers(1, max_slices))
+    r = draw(st.integers(min_slices, max_slices))
     slices = [draw(relation(n, name=chr(ord("A") + s))) for s in range(r)]
     return MultiplexNetwork(actor_names(n), slices)
 
@@ -154,6 +158,55 @@ class TestClosure:
             for y in range(len(t)):
                 prod = (images[x].astype(np.uint8) @ images[y].astype(np.uint8)) > 0
                 assert (prod == images[t[x][y]]).all()
+
+
+def proper_cyclic(table):
+    """An element whose powers miss some element of the table, if any."""
+    for e in range(len(table)):
+        powers = {e}
+        x = table[e][e]
+        while x not in powers:
+            powers.add(x)
+            x = table[x][e]
+        if len(powers) < len(table):
+            return e
+    return None
+
+
+class TestTranslationClosure:
+    """Closing under the generator translations finds what closing under
+    every element finds, with or without usable generators."""
+
+    @settings(
+        max_examples=150, suppress_health_check=[HealthCheck.filter_too_much], **COMMON
+    )
+    @given(network(max_n=4, min_slices=2))
+    def test_matches_closure_under_every_element(self, net):
+        strings = small_closure(net, cap=12)
+        sg = build_semigroup(strings)
+        table = sg.index_table()
+        n = len(table)
+        e = proper_cyclic(table)
+        assume(e is not None)
+        data = sg.to_dict()
+        no_gens = {k: v for k, v in data.items() if k != "generators"}
+        variants = [
+            (sg, 2 * len({g for _, g in sg.generator_elements()})),
+            (semigroup_from_dict(no_gens), 2 * n),
+            (semigroup_from_dict(dict(data, generators=[[sg.st[e], e + 1]])), 2 * n),
+        ]
+        base = string_partial_order(strings).matrix
+        want_cc = oracles.congruence_vectors(table)
+        want_pi = [(seed, q.tobytes()) for seed, q in oracles.pi_members(table, base)]
+        for variant, translations in variants:
+            assert len(_translations(variant)[1]) == translations
+            assert [c.vector for c in find_congruences(variant)] == want_cc
+            lattice = factorize(variant, Poset(variant.st, base))
+            got_pi = [
+                (m.seed and tuple(variant.st.index(x) for x in m.seed), m.key())
+                for m in lattice.members
+            ]
+            assert got_pi == want_pi
 
 
 class TestGalois:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -137,6 +138,14 @@ class TestBuildSemigroup:
             semigroup_from_dict({"st": ["a"], "table": [[2]]})
         with pytest.raises(ValidationError):
             semigroup_from_dict({"st": ["a"], "table": [["b"]]})
+        for cell in (None, 1.0, True, [1]):
+            with pytest.raises(ValidationError):
+                semigroup_from_dict({"st": ["a"], "table": [[cell]]})
+        with pytest.raises(ValidationError):
+            semigroup_from_dict({"st": "ab", "table": [[1, 2], [2, 1]]})
+        for gens in ([["a", 0]], [["a", 3]], [["a"]], ["a"], 1):
+            with pytest.raises(ValidationError):
+                semigroup_from_dict({"st": ["a", "b"], "table": [[1, 2], [2, 1]], "generators": gens})
 
 
 class TestEquations:
@@ -166,6 +175,24 @@ class TestEquations:
     def test_k_validation(self, ncc):
         with pytest.raises(ValidationError):
             equations(ncc, 0)
+
+    def test_matches_word_by_word_composition(self, netcs):
+        groups = {}
+        for k in range(1, 5):
+            for word in itertools.product(netcs.slices, repeat=k):
+                rel = functools.reduce(compose, word)
+                groups.setdefault(rel.cells.tobytes(), []).append(rel.name)
+        want = {members[0]: members for members in groups.values() if len(members) > 1}
+        assert equations(netcs, 4) == want
+
+    def test_word_count_cap_from_environment(self, ncc, monkeypatch):
+        # three letters give 3 + 9 words up to length 2
+        monkeypatch.setenv("RELALG_MAX_CLOSURE", "11")
+        with pytest.raises(ClosureTooLargeError) as err:
+            equations(ncc, 2)
+        assert err.value.cap == 11
+        monkeypatch.setenv("RELALG_MAX_CLOSURE", "12")
+        assert equations(ncc, 2)
 
 
 class TestPartialOrder:
