@@ -303,29 +303,15 @@ class Reduction:
 
 
 def _quotient(sg, vector, q=None, kind="cc"):
-    table = sg.index_table()
-    n = len(table)
-    firsts = []
-    for c in range(1, max(vector) + 1):
-        firsts.append(vector.index(c))
+    t = np.asarray(sg.index_table(), dtype=int).reshape(sg.order, sg.order)
+    v = np.asarray(vector, dtype=int)
+    firsts = [vector.index(c) for c in range(1, max(vector) + 1)]
     reps = [sg.st[i] for i in firsts]
-    qt = []
-    for x in firsts:
-        row = []
-        for y in firsts:
-            row.append(reps[vector[table[x][y]] - 1])
-        qt.append(row)
-    for x in range(n):
-        for y in range(n):
-            if vector[table[x][y]] != vector[table[firsts[vector[x] - 1]][firsts[vector[y] - 1]]]:
-                raise ValidationError("partition is not a congruence of the table")
-    order = None
-    if q is not None:
-        m = np.zeros((len(firsts), len(firsts)), dtype=bool)
-        for i, x in enumerate(firsts):
-            for j, y in enumerate(firsts):
-                m[i, j] = q[x, y]
-        order = Poset(reps, m)
+    rep = np.asarray(firsts, dtype=int)[v - 1]   # each element's class representative
+    if (v[t] != v[t[np.ix_(rep, rep)]]).any():
+        raise ValidationError("partition is not a congruence of the table")
+    qt = [[reps[v[t[x, y]] - 1] for y in firsts] for x in firsts]
+    order = None if q is None else Poset(reps, np.asarray(q)[np.ix_(firsts, firsts)])
     return Reduction(tuple(sg.st), tuple(vector), qt, order, kind)
 
 

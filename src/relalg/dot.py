@@ -44,16 +44,16 @@ def hasse_dot(po, drop_incomparable=False):
     m = np.asarray(po.matrix, dtype=bool)
     strict = m & ~np.eye(len(po.labels), dtype=bool)
     covers = strict & ~bool_product(strict, strict)
-    keep = list(range(len(po.labels)))
+    keep = np.arange(len(po.labels))
     if drop_incomparable:
-        keep = [i for i in keep if strict[i].any() or strict[:, i].any()]
+        keep = keep[strict.any(axis=1) | strict.any(axis=0)]
     lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=plaintext];"]
-    for i in keep:
-        lines.append(f"  {_q(po.labels[i])};")
-    for i in keep:
-        for j in keep:
-            if covers[i, j]:
-                lines.append(f"  {_q(po.labels[i])} -> {_q(po.labels[j])};")
+    lines += [f"  {_q(po.labels[i])};" for i in keep]
+    rows, cols = np.nonzero(covers[np.ix_(keep, keep)])
+    lines += [
+        f"  {_q(po.labels[keep[i]])} -> {_q(po.labels[keep[j]])};"
+        for i, j in zip(rows, cols)
+    ]
     lines.append("}")
     return DotDocument("hasse", "\n".join(lines) + "\n")
 

@@ -14,6 +14,7 @@ import io
 import numpy as np
 
 from .errors import ValidationError
+from .netcore import bool_rows, string_list
 from .semigroup import Poset
 
 
@@ -36,11 +37,15 @@ class FormalContext:
     @classmethod
     def from_dict(cls, data):
         try:
-            return cls(data["objects"], data["attributes"], data["incidence"])
+            objects, attributes = data["objects"], data["attributes"]
+            incidence = data["incidence"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(
                 'context JSON needs "objects", "attributes", "incidence"'
             ) from exc
+        nobj = len(string_list(objects, 'context "objects"'))
+        natt = len(string_list(attributes, 'context "attributes"'))
+        return cls(objects, attributes, bool_rows(incidence, nobj, natt, 'context "incidence"'))
 
     @classmethod
     def from_csv(cls, text):

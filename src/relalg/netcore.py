@@ -213,6 +213,24 @@ def permute(matrix, clustering):
 # ---------------------------------------------------------------------------
 # JSON interchange
 
+def string_list(value, what):
+    """value itself, if it is a list of strings."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ValidationError(f"{what} must be a list of strings")
+    return value
+
+
+def bool_rows(value, nrows, ncols, what):
+    """value itself, if it is nrows lists of ncols cells that are 0, 1 or a bool."""
+    if not isinstance(value, list) or len(value) != nrows or not all(
+        isinstance(row, list) and len(row) == ncols
+        and all(isinstance(x, int) and x in (0, 1) for x in row)
+        for row in value
+    ):
+        raise ValidationError(f"{what} must be {nrows} lists of {ncols} cells of 0/1")
+    return value
+
+
 def network_from_dict(data):
     try:
         actors = data["actors"]
@@ -221,8 +239,7 @@ def network_from_dict(data):
         raise ValidationError(
             'network JSON needs "actors" and "relations" keys'
         ) from exc
-    if not isinstance(actors, list) or not all(isinstance(a, str) for a in actors):
-        raise ValidationError('"actors" must be a list of strings')
+    string_list(actors, '"actors"')
     if not isinstance(relations, list) or not relations:
         raise ValidationError('"relations" must be a nonempty list')
     slices = []

@@ -5,6 +5,12 @@ when their relation matrices coincide, and each distinct matrix is named by
 the lexicographically first shortest word that produces it: candidates are
 enumerated by length and, within a length, by generator position, so the
 first word to hit a new image is that image's representative.
+
+The representatives form a word tree: each word is a letter or a shorter
+representative followed by one letter. The closure keeps ``right[i, a]``,
+the index of element i times letter a (the right Cayley graph of Froidure
+and Pin), and the table follows from it column by column, since x(pa) =
+(xp)a. No product of two elements is ever formed.
 """
 
 import os
@@ -12,7 +18,7 @@ import os
 import numpy as np
 
 from .errors import ClosureTooLargeError, ValidationError
-from .netcore import bool_product, permutation_order
+from .netcore import bool_product, bool_rows, permutation_order, string_list
 
 DEFAULT_MAX_CLOSURE = 100_000
 
@@ -34,7 +40,7 @@ def _alphabet(net, include_transposes):
 class StringSet:
     """The distinct string relations of a network, closed under composition."""
 
-    def __init__(self, actors, alphabet, words, images, generator_elements=None):
+    def __init__(self, actors, alphabet, words, images, generator_elements=None, right=None):
         self.actors = tuple(actors)
         self.alphabet = tuple(alphabet)          # letter labels, in lex order
         self.words = tuple(tuple(w) for w in words)
@@ -44,6 +50,7 @@ class StringSet:
             pos = {w: i for i, w in enumerate(self.words)}
             generator_elements = [(lbl, pos.get((lbl,))) for lbl in self.alphabet]
         self.generator_elements = tuple(generator_elements)
+        self.right = right                       # N x |alphabet| indices, or None
 
     @property
     def order(self):
@@ -71,24 +78,26 @@ def generate_strings(net, include_transposes=False, max_elements=None):
             images.append(cells)
         gen_elements.append((name, seen[key]))
     frontier = list(range(len(words)))
+    right = []                                   # row i is filled when i is expanded
     while frontier:
         nxt = []
         for i in frontier:
+            row = []
             for name, cells in letters:
                 img = bool_product(images[i], cells)
                 key = img.tobytes()
-                if key in seen:
-                    continue
-                if len(words) >= cap:
-                    raise ClosureTooLargeError(len(words) + 1, cap)
-                seen[key] = len(words)
-                nxt.append(len(words))
-                words.append(words[i] + (name,))
-                images.append(img)
+                if key not in seen:
+                    if len(words) >= cap:
+                        raise ClosureTooLargeError(len(words) + 1, cap)
+                    seen[key] = len(words)
+                    nxt.append(len(words))
+                    words.append(words[i] + (name,))
+                    images.append(img)
+                row.append(seen[key])
+            right.append(row)
         frontier = nxt
-    return StringSet(
-        net.actors, [name for name, _ in letters], words, images, gen_elements
-    )
+    alphabet = [name for name, _ in letters]
+    return StringSet(net.actors, alphabet, words, images, gen_elements, np.array(right))
 
 
 class Semigroup:
@@ -142,21 +151,41 @@ class Semigroup:
         }
 
 
-def build_semigroup(strings, fmt="numerical"):
-    """Multiplication table over a closed string set."""
+def _right_translations(strings):
+    """right[i, a] by one image lookup each; -1 for a letter with no element."""
     by_key = {img.tobytes(): i for i, img in enumerate(strings.images)}
-    n = strings.order
-    idx = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        for j in range(n):
-            key = bool_product(strings.images[i], strings.images[j]).tobytes()
-            try:
-                idx[i, j] = by_key[key]
-            except KeyError:
+    right = np.full((strings.order, len(strings.generator_elements)), -1)
+    for a, (letter, g) in enumerate(strings.generator_elements):
+        for i, img in enumerate(strings.images if g is not None else ()):
+            key = bool_product(img, strings.images[g]).tobytes()
+            if key not in by_key:
                 raise ValidationError(
-                    f"product {strings.st[i]}*{strings.st[j]} left the string set; "
+                    f"product {strings.st[i]}*{letter} left the string set; "
                     "input was not a closed StringSet"
-                ) from None
+                )
+            right[i, a] = by_key[key]
+    return right
+
+
+def build_semigroup(strings, fmt="numerical"):
+    """Multiplication table over a closed string set, one column per element.
+
+    Walks ``right`` breadth first: a generator's column is ``right[:, a]``, an
+    element first reached as p times letter a gets ``right[T[:, p], a]``.
+    """
+    right = strings.right if strings.right is not None else _right_translations(strings)
+    n = strings.order
+    idx = np.empty((n, n), dtype=int)
+    reached = {None, -1}                         # a letter with no element
+    edges = [(np.arange(n), a, g) for a, (_, g) in enumerate(strings.generator_elements)]
+    for col, a, j in edges:                      # grows as elements are reached
+        if j not in reached:
+            reached.add(j)
+            idx[:, j] = right[col, a]
+            edges += [(idx[:, j], b, k) for b, k in enumerate(right[j].tolist())]
+    if len(reached) < n + 2:
+        missing = strings.st[min(set(range(n)) - reached)]
+        raise ValidationError(f"{missing} is not a product of letters; not a closed StringSet")
     return Semigroup(strings, idx, fmt)
 
 
@@ -176,20 +205,15 @@ def semigroup_from_dict(data):
     ):
         raise ValidationError('semigroup "table" must be square over the "st" list')
     st = [str(x) for x in st]
-    pos = {lbl: i for i, lbl in enumerate(st)}
-    idx = np.zeros((n, n), dtype=int)
-    fmt = "numerical"
-    for i, row in enumerate(table):
-        for j, cell in enumerate(row):
-            if isinstance(cell, str):
-                fmt = "symbolic"
-                if cell not in pos:
-                    raise ValidationError(f"table cell {cell!r} is not in st")
-                idx[i, j] = pos[cell]
-            else:
-                if not _is_index(cell, n):
-                    raise ValidationError(f"table cell {cell!r} is not an index in 1..{n}")
-                idx[i, j] = cell - 1
+    pos = {lbl: i + 1 for i, lbl in enumerate(st)}
+    cells = [cell for row in table for cell in row]
+    for cell in cells:
+        if isinstance(cell, str) and cell not in pos:
+            raise ValidationError(f"table cell {cell!r} is not in st")
+        if not isinstance(cell, str) and not _is_index(cell, n):
+            raise ValidationError(f"table cell {cell!r} is not an index in 1..{n}")
+    fmt = "symbolic" if any(isinstance(cell, str) for cell in cells) else "numerical"
+    idx = np.array([pos.get(cell, cell) for cell in cells], dtype=int).reshape(n, n) - 1
     gens = data.get("generators", [])
     if not isinstance(gens, list) or not all(
         isinstance(g, list) and len(g) == 2 and _is_index(g[1], n) for g in gens
@@ -278,13 +302,8 @@ class Poset:
 
     def antisymmetry_violations(self):
         """Mutual pairs of distinct elements (empty for a true poset)."""
-        both = self.matrix & self.matrix.T
-        out = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if both[i, j]:
-                    out.append((self.labels[i], self.labels[j]))
-        return out
+        rows, cols = np.nonzero(np.triu(self.matrix & self.matrix.T, 1))
+        return [(self.labels[i], self.labels[j]) for i, j in zip(rows, cols)]
 
     def is_antisymmetric(self):
         return not self.antisymmetry_violations()
@@ -323,9 +342,11 @@ class Poset:
     @classmethod
     def from_dict(cls, data):
         try:
-            return cls(data["labels"], data["matrix"])
+            labels, matrix = data["labels"], data["matrix"]
         except (KeyError, TypeError) as exc:
             raise ValidationError('poset JSON needs "labels" and "matrix"') from exc
+        n = len(string_list(labels, 'poset "labels"'))
+        return cls(labels, bool_rows(matrix, n, n, 'poset "matrix"'))
 
 
 def transitive_closure(matrix):
@@ -340,10 +361,6 @@ def transitive_closure(matrix):
 
 
 def string_partial_order(strings):
-    """Containment order among the representative images."""
-    n = strings.order
-    m = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            m[i, j] = not (strings.images[i] & ~strings.images[j]).any()
-    return Poset(strings.st, m)
+    """Containment order: i <= j iff no cell of image i lies outside image j."""
+    x = np.array([np.ravel(img) for img in strings.images], dtype=bool)
+    return Poset(strings.st, ~bool_product(x, ~x.T))

@@ -92,6 +92,60 @@ def census_counts(n, slice_ties):
 
 
 # ---------------------------------------------------------------------------
+# multiplication table and containment order, one cell at a time
+#
+# The package derives the table from the right Cayley graph and the order from
+# one boolean product; these form every product and comparison separately.
+
+
+def string_closure(letters):
+    """(st, generator elements) of the breadth-first closure of (name, matrix) letters.
+
+    Every image, in discovery order, is multiplied by every letter in turn; a
+    product with a new image becomes a representative named by its word.
+    """
+    st, images, seen, gens = [], [], {}, []
+    for name, cells in letters:
+        if cells.tobytes() not in seen:
+            seen[cells.tobytes()] = len(st)
+            st.append(name)
+            images.append(cells)
+        gens.append((name, seen[cells.tobytes()]))
+    i = 0
+    while i < len(images):
+        for name, cells in letters:
+            img = images[i] @ cells
+            if img.tobytes() not in seen:
+                seen[img.tobytes()] = len(st)
+                st.append(st[i] + name)
+                images.append(img)
+        i += 1
+    return st, gens
+
+
+def semigroup_table(images):
+    """0-based index table: each product's image looked up among the images."""
+    by_key = {img.tobytes(): i for i, img in enumerate(images)}
+    n = len(images)
+    idx = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        for j in range(n):
+            key = (np.asarray(images[i], dtype=bool) @ np.asarray(images[j], dtype=bool)).tobytes()
+            idx[i, j] = by_key[key]
+    return idx
+
+
+def containment_order(images):
+    """M[i, j] = 1 iff image i lies inside image j."""
+    n = len(images)
+    m = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            m[i, j] = not (images[i] & ~images[j]).any()
+    return m
+
+
+# ---------------------------------------------------------------------------
 # semigroup congruences
 
 

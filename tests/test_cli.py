@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import pathlib
@@ -6,8 +7,9 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from conftest import golden
+from conftest import DATA, golden
 import relalg
 from relalg import (
     MultiplexNetwork,
@@ -382,6 +384,8 @@ class TestDot:
         assert r.exit_code == 2
 
 
+NETCS_ST = golden("netcs_semigroup.json")["st"]
+NETCS_EYE = [[int(i == j) for j in range(len(NETCS_ST))] for i in range(len(NETCS_ST))]
 MALFORMED = {
     "tie-not-a-pair": (
         "census", {"actors": ["a", "b"], "relations": [{"name": "C", "ties": [["a"]]}]}
@@ -397,6 +401,24 @@ MALFORMED = {
     "generator-out-of-range": (
         "decomp", {"st": ["a", "b"], "table": [[1, 2], [2, 1]], "generators": [["a", 0]]}
     ),
+    "poset-cells-not-0-1": (
+        "decomp SG --mode mca --poset",
+        {"labels": NETCS_ST, "matrix": [[None, "x"] + NETCS_EYE[0][2:]] + NETCS_EYE[1:]},
+    ),
+    "poset-cells-not-0-1-hasse": (
+        "dot hasse", {"labels": ["a", "b"], "matrix": [[None, "x"], [0, 1]]}
+    ),
+    "poset-labels-string": ("dot hasse", {"labels": "ab", "matrix": [[1, 0], [0, 1]]}),
+    "poset-ragged": ("dot hasse", {"labels": ["a", "b"], "matrix": [[1], [0, 1]]}),
+    "context-objects-string": (
+        "galois", {"objects": "ab", "attributes": ["x"], "incidence": [[1], [0]]}
+    ),
+    "context-cell-2": (
+        "filter --of 1", {"objects": ["a"], "attributes": ["x"], "incidence": [[2]]}
+    ),
+    "context-incidence-wrong-shape": (
+        "dot bipartite", {"objects": ["a", "b"], "attributes": ["x"], "incidence": [[1]]}
+    ),
 }
 
 
@@ -407,13 +429,81 @@ def test_malformed_json_exits_2_without_traceback(case, tmp_path):
     p.write_text(json.dumps(data))
     src = str(pathlib.Path(relalg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    args = [str(DATA / "netcs_semigroup.json") if a == "SG" else a for a in command.split()]
     r = subprocess.run(
-        [sys.executable, "-m", "relalg.cli", command, str(p)],
+        [sys.executable, "-m", "relalg.cli", *args, str(p)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("error: ")
+
+
+JSON = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-1, 3), st.floats(-1, 2), st.text("ab1", max_size=2)
+    ),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3), st.dictionaries(st.text("ab", max_size=2), kids, max_size=2)
+    ),
+    max_leaves=6,
+)
+
+# One well-formed document per loader, and the commands that read it.
+LOADERS = {
+    "network": (
+        {"actors": ["a", "b"], "relations": [{"name": "C", "ties": [["a", "b"]]}]},
+        ["census IN", "order IN", "dot multigraph IN"],
+    ),
+    "semigroup": (
+        {"st": ["a", "b"], "table": [[1, 2], [2, 2]], "generators": [["a", 1]]},
+        ["decomp IN", "dot cayley IN"],
+    ),
+    "poset": (
+        {"labels": NETCS_ST, "matrix": NETCS_EYE},
+        ["dot hasse IN", "decomp SG --mode mca --poset IN"],
+    ),
+    "context": (
+        {"objects": ["a", "b"], "attributes": ["x"], "incidence": [[1], [0]]},
+        ["galois IN", "filter IN --of 1", "dot bipartite IN"],
+    ),
+}
+
+
+@st.composite
+def malformed(draw, value):
+    """value with one part (or all of it) replaced by some JSON, or dropped."""
+    parts = (
+        list(value) if isinstance(value, dict)
+        else list(range(len(value))) if isinstance(value, list) else []
+    )
+    if not parts or draw(st.integers(0, 3)) == 0:
+        return draw(JSON)
+    key = draw(st.sampled_from(parts))
+    value = copy.copy(value)
+    if draw(st.integers(0, 4)) == 0:
+        del value[key]
+    else:
+        value[key] = draw(malformed(value[key]))
+    return value
+
+
+class TestMalformedJsonFuzz:
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    @settings(derandomize=True, deadline=None, max_examples=75)
+    @given(data=st.data())
+    def test_every_loader_exits_0_or_2(self, runner, tmp_path_factory, kind, data):
+        doc, commands = LOADERS[kind]
+        path = tmp_path_factory.mktemp("fuzz") / "in.json"
+        path.write_text(json.dumps(data.draw(malformed(doc))))
+        for command in commands:
+            args = [
+                {"IN": str(path), "SG": str(DATA / "netcs_semigroup.json")}.get(a, a)
+                for a in command.split()
+            ]
+            r = runner.invoke(main, args)
+            assert r.exit_code in (0, 2), (args, r.output, r.exception)
+            assert "Traceback" not in r.output
 
 
 def test_version_flag(runner):
