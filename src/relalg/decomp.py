@@ -57,6 +57,11 @@ class Congruence:
         return dict(zip(self.labels, self.vector))
 
 
+def _table(sg):
+    """The 0-based index table as an order x order array."""
+    return np.asarray(sg.index_table(), dtype=int).reshape(sg.order, sg.order)
+
+
 def _translations(sg):
     """Right maps x -> xg, then left maps x -> gx, one row per generator g.
 
@@ -64,7 +69,7 @@ def _translations(sg):
     element.
     """
     n = sg.order
-    t = np.asarray(sg.index_table(), dtype=int).reshape(n, n)
+    t = _table(sg)
     gens = sorted({g for _, g in sg.generator_elements() if g is not None})
     reached = np.zeros(n, dtype=bool)
     reached[gens] = True
@@ -137,22 +142,25 @@ def find_congruences(sg, unique=True):
     return [Congruence(sg.st, v) for v in found]
 
 
+def _first_members(t, vector):
+    """Each element's first class-mate, or None if the classes are no congruence.
+
+    In a congruence, replacing both factors of a product by their first
+    class-mates never changes the product's class.
+    """
+    first = {}
+    rep = np.array([first.setdefault(c, i) for i, c in enumerate(vector)], dtype=int)
+    v = np.asarray(vector)
+    if (v[t] != v[t[np.ix_(rep, rep)]]).any():
+        return None
+    return rep
+
+
 def is_congruence(sg, vector):
     """Does the class vector satisfy the substitution property?"""
-    table = sg.index_table()
-    n = len(table)
-    if len(vector) != n:
+    if len(vector) != sg.order:
         raise ValidationError("class vector length must match the table")
-    for x in range(n):
-        for y in range(n):
-            if vector[x] != vector[y]:
-                continue
-            for g in range(n):
-                if vector[table[x][g]] != vector[table[y][g]]:
-                    return False
-                if vector[table[g][x]] != vector[table[g][y]]:
-                    return False
-    return True
+    return _first_members(_table(sg), vector) is not None
 
 
 # ---------------------------------------------------------------- quasi-orders
@@ -303,14 +311,15 @@ class Reduction:
 
 
 def _quotient(sg, vector, q=None, kind="cc"):
-    t = np.asarray(sg.index_table(), dtype=int).reshape(sg.order, sg.order)
-    v = np.asarray(vector, dtype=int)
-    firsts = [vector.index(c) for c in range(1, max(vector) + 1)]
-    reps = [sg.st[i] for i in firsts]
-    rep = np.asarray(firsts, dtype=int)[v - 1]   # each element's class representative
-    if (v[t] != v[t[np.ix_(rep, rep)]]).any():
+    t = _table(sg)
+    rep = _first_members(t, vector)
+    if rep is None:
         raise ValidationError("partition is not a congruence of the table")
-    qt = [[reps[v[t[x, y]] - 1] for y in firsts] for x in firsts]
+    # the vector numbers its classes 1.. by first occurrence
+    firsts = np.flatnonzero(rep == np.arange(len(rep)))
+    reps = [sg.st[i] for i in firsts]
+    classes = np.asarray(vector)[t[np.ix_(firsts, firsts)]] - 1
+    qt = [[reps[c] for c in row] for row in classes.tolist()]
     order = None if q is None else Poset(reps, np.asarray(q)[np.ix_(firsts, firsts)])
     return Reduction(tuple(sg.st), tuple(vector), qt, order, kind)
 

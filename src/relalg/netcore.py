@@ -6,8 +6,6 @@ treated as immutable after construction and every operation returns new
 values, so results can be shared freely across threads.
 """
 
-from collections import deque
-
 import numpy as np
 
 from .errors import DimensionError, ValidationError
@@ -130,6 +128,29 @@ def transpose(a):
     return RelationMatrix("t" + a.name, a.actors, a.cells.T)
 
 
+def connected_components(adj):
+    """Components of a boolean adjacency, direction ignored.
+
+    Each is an ascending index array; they are listed by their first index.
+    """
+    adj = np.asarray(adj, dtype=bool)
+    adj = adj | adj.T
+    seen = np.zeros(len(adj), dtype=bool)
+    comps = []
+    for start in range(len(adj)):
+        if seen[start]:
+            continue
+        comp = np.zeros(len(adj), dtype=bool)
+        frontier = comp.copy()
+        frontier[start] = True
+        while frontier.any():
+            comp |= frontier
+            frontier = adj[frontier].any(axis=0) & ~comp
+        seen |= comp
+        comps.append(np.flatnonzero(comp))
+    return comps
+
+
 def components(net):
     """Weak components of the union of all slices, plus isolates.
 
@@ -138,33 +159,14 @@ def components(net):
     component, never a pair of isolates. Components are listed by their
     first actor's position; membership follows actor order.
     """
-    union = np.zeros((net.n, net.n), dtype=bool)
-    for s in net.slices:
-        union |= s.cells
-    union |= union.T
-    np.fill_diagonal(union, False)
-
-    degree = union.any(axis=0)
-    seen = [False] * net.n
+    union = np.any([s.cells for s in net.slices], axis=0)
     comps = []
     isolates = []
-    for start in range(net.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        if not degree[start]:
-            isolates.append(net.actors[start])
-            continue
-        queue = deque([start])
-        members = {start}
-        while queue:
-            cur = queue.popleft()
-            for nxt in np.nonzero(union[cur])[0]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    members.add(int(nxt))
-                    queue.append(int(nxt))
-        comps.append([net.actors[i] for i in sorted(members)])
+    for comp in connected_components(union):
+        if len(comp) > 1:
+            comps.append([net.actors[i] for i in comp])
+        else:
+            isolates.append(net.actors[comp[0]])
     return comps, isolates
 
 

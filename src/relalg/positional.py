@@ -9,7 +9,7 @@ ego by ego and cumulated into one hierarchy.
 import numpy as np
 
 from .errors import ValidationError
-from .netcore import MultiplexNetwork, RelationMatrix
+from .netcore import MultiplexNetwork, RelationMatrix, bool_product
 from .semigroup import Poset, _words, transitive_closure
 
 
@@ -45,13 +45,15 @@ def build_relation_box(net, k=3, include_transposes=False):
     return RelationBox(net.actors, labels, mats, k)
 
 
-def _profiles(rbox, ego):
-    """For each actor j, the set of box slices where ego reaches j."""
-    e = rbox.actors.index(ego)
-    profs = []
-    for j in range(rbox.n):
-        profs.append(frozenset(s for s in range(rbox.depth) if rbox.slices[s][e, j]))
-    return profs
+def _ego_order(profile):
+    """j <= l when ego's nonempty profile row j lies inside row l.
+
+    `profile` is ego's actor x slice plane of the box: row j holds the
+    slices where ego reaches j.
+    """
+    m = ~bool_product(profile, ~profile.T)
+    m[~profile.any(axis=1)] = False
+    return m
 
 
 def person_hierarchy(rbox, ego):
@@ -63,21 +65,19 @@ def person_hierarchy(rbox, ego):
     """
     if ego not in rbox.actors:
         raise ValidationError(f"unknown actor {ego!r}")
-    profs = _profiles(rbox, ego)
-    n = rbox.n
-    m = np.zeros((n, n), dtype=bool)
-    for j in range(n):
-        for l in range(n):
-            m[j, l] = bool(profs[j]) and profs[j] <= profs[l]
-    return Poset(rbox.actors, transitive_closure(m))
+    profile = rbox.slice_array()[rbox.actors.index(ego)]
+    return Poset(rbox.actors, transitive_closure(_ego_order(profile)))
 
 
 def cumulated_hierarchy(rbox):
-    """Union of every ego's hierarchy, closed transitively."""
-    n = rbox.n
-    m = np.eye(n, dtype=bool)
-    for ego in rbox.actors:
-        m |= person_hierarchy(rbox, ego).matrix
+    """Union of every ego's hierarchy, closed transitively.
+
+    The closure of a union of closures is the closure of the union, so the
+    egos' orders are joined unclosed and closed once.
+    """
+    m = np.eye(rbox.n, dtype=bool)
+    for profile in rbox.slice_array():
+        m |= _ego_order(profile)
     return Poset(rbox.actors, transitive_closure(m))
 
 
@@ -102,20 +102,13 @@ def reduce_network(net, clustering):
     missing = [a for a in net.actors if a not in clustering]
     if missing:
         raise ValidationError(f"clustering misses actors: {missing}")
-    order = []
-    for a in net.actors:
-        cid = str(clustering[a])
-        if cid not in order:
-            order.append(cid)
-    groups = {cid: [i for i, a in enumerate(net.actors) if str(clustering[a]) == cid] for cid in order}
-    nc = len(order)
-    images = []
-    for s in net.slices:
-        blocked = np.zeros((nc, nc), dtype=bool)
-        for gi, ci in enumerate(order):
-            for gj, cj in enumerate(order):
-                blocked[gi, gj] = s.cells[np.ix_(groups[ci], groups[cj])].any()
-        images.append(RelationMatrix(s.name, order, blocked))
-    return PositionalSystem(
-        order, images, {a: str(clustering[a]) for a in net.actors}
-    )
+    ids = [str(clustering[a]) for a in net.actors]
+    column = {c: k for k, c in enumerate(dict.fromkeys(ids))}
+    order = list(column)
+    member = np.zeros((net.n, len(order)), dtype=bool)    # actor x class
+    member[np.arange(net.n), [column[c] for c in ids]] = True
+    images = [
+        RelationMatrix(s.name, order, bool_product(bool_product(member.T, s.cells), member))
+        for s in net.slices
+    ]
+    return PositionalSystem(order, images, dict(zip(net.actors, ids)))

@@ -5,15 +5,40 @@ a (ambivalent), and, in cluster mode only, q for the product of two
 negatives. Walk accumulation is ordinary matrix algebra with the semiring's
 tables in place of + and *, so revisiting nodes is allowed; products fold
 left to right along a walk.
+
+The evaluator works on letter codes, each letter's index in VALENCES as a
+uint8. A semiring's + and * become 5 x 5 lookup arrays derived from its own
+letter tables, which stay the specification that verify_semiring checks;
+the fuse rule of the symmetric closure is one more such array. A sum or a
+fusion is then one whole-array gather, and a product one gather per actor.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ComputationError, NonConvergenceError, ValidationError
+from .netcore import connected_components
 
 VALENCES = ("p", "o", "n", "a", "q")
+_CODE = {v: i for i, v in enumerate(VALENCES)}
+_LETTERS = np.array(VALENCES, dtype="<U1")
+
+
+def _encode(cells):
+    """The letter matrix as uint8 codes."""
+    codes = np.zeros(cells.shape, dtype=np.uint8)
+    for v, c in _CODE.items():
+        codes[cells == v] = c
+    return codes
+
+
+def _lut(table):
+    """A letter table {(x, y): z} as a code-indexed lookup array."""
+    out = np.zeros((len(VALENCES), len(VALENCES)), dtype=np.uint8)
+    for (x, y), z in table.items():
+        out[_CODE[x], _CODE[y]] = _CODE[z]
+    return out
 
 
 class SignedMatrix:
@@ -71,7 +96,11 @@ def make_signed(positive, negative):
 
 @dataclass(frozen=True)
 class SemiringSpec:
-    """Addition and multiplication tables over a valence carrier."""
+    """Addition and multiplication tables over a valence carrier.
+
+    `add_lut` and `mul_lut` are the same tables as code-indexed arrays,
+    derived once from `add_table` and `mul_table`.
+    """
 
     mode: str
     carrier: tuple
@@ -79,6 +108,12 @@ class SemiringSpec:
     mul_table: dict
     zero: str = "o"
     one: str = "p"
+    add_lut: np.ndarray = field(init=False, repr=False, compare=False)
+    mul_lut: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "add_lut", _lut(self.add_table))
+        object.__setattr__(self, "mul_lut", _lut(self.mul_table))
 
     def add(self, x, y):
         return self.add_table[(x, y)]
@@ -101,56 +136,30 @@ def _build(carrier, rules):
     return table
 
 
-def _balance_tables():
-    carrier = ("p", "o", "n", "a")
-    add = {}
-    mul = {}
+def _spec(mode, carrier, add, mul):
+    """A semiring whose tables are its own rules over the ones all share."""
+    base_add = {("p", "n"): "a"}
+    base_mul = {("n", "a"): "a", ("a", "a"): "a"}
     for x in carrier:
-        add[("o", x)] = x                   # absent is neutral in addition
-        add[(x, x)] = x
-        mul[("o", x)] = "o"                 # absent absorbs products
-        mul[("p", x)] = x                   # positive is the multiplicative unit
-        add[("a", x)] = "a"                 # ambivalence absorbs sums
-    add[("p", "n")] = "a"
-    mul[("n", "n")] = "p"
-    mul[("n", "a")] = "a"
-    mul[("a", "a")] = "a"
-    return carrier, _build(carrier, add), _build(carrier, mul)
+        base_add[("o", x)] = x              # absent is neutral in addition
+        base_add[(x, x)] = x
+        base_mul[("o", x)] = "o"            # absent absorbs products
+        base_mul[("p", x)] = x              # positive is the multiplicative unit
+        base_add[("a", x)] = "a"            # ambivalence absorbs sums
+    add = _build(carrier, {**base_add, **add})
+    return SemiringSpec(mode, carrier, add, _build(carrier, {**base_mul, **mul}))
 
 
-def _cluster_tables():
-    carrier = ("p", "o", "n", "a", "q")
-    add = {}
-    mul = {}
-    for x in carrier:
-        add[("o", x)] = x
-        add[(x, x)] = x
-        mul[("o", x)] = "o"
-        mul[("p", x)] = x
-        add[("a", x)] = "a"
-    add[("p", "n")] = "a"
+BALANCE = _spec("balance", ("p", "o", "n", "a"), {}, {("n", "n"): "p"})
+CLUSTER = _spec(
+    "cluster",
+    ("p", "o", "n", "a", "q"),
     # p+q merges into q: a pair of antagonists and a friend of both can
     # coexist in a clustering, so the double-negative verdict prevails
     # rather than collapsing to ambivalence (keeps + distributive with *)
-    add[("p", "q")] = "q"
-    add[("n", "q")] = "a"
-    mul[("n", "n")] = "q"
-    mul[("n", "q")] = "n"
-    mul[("q", "q")] = "q"
-    mul[("n", "a")] = "a"
-    mul[("q", "a")] = "a"
-    mul[("a", "a")] = "a"
-    return carrier, _build(carrier, add), _build(carrier, mul)
-
-
-def _make_spec(mode):
-    builder = _balance_tables if mode == "balance" else _cluster_tables
-    carrier, add, mul = builder()
-    return SemiringSpec(mode, carrier, add, mul)
-
-
-BALANCE = _make_spec("balance")
-CLUSTER = _make_spec("cluster")
+    {("p", "q"): "q", ("n", "q"): "a"},
+    {("n", "n"): "q", ("n", "q"): "n", ("q", "q"): "q", ("q", "a"): "a"},
+)
 
 
 def verify_semiring(spec):
@@ -184,24 +193,23 @@ def verify_semiring(spec):
     return True
 
 
-_FUSE = {
-    ("p", "n"): "a",
-    ("p", "a"): "p",
-    ("n", "a"): "n",
-    ("p", "q"): "a",
-    ("n", "q"): "a",
-    ("a", "q"): "a",
-}
+def _fuse_table():
+    """The fuse rule of symmetric_closure as a lookup array."""
+    rules = {
+        ("p", "n"): "a",
+        ("p", "a"): "p",
+        ("n", "a"): "n",
+        ("p", "q"): "a",
+        ("n", "q"): "a",
+        ("a", "q"): "a",
+    }
+    for x in VALENCES:
+        rules[(x, x)] = x
+        rules[("o", x)] = x
+    return _lut(_build(VALENCES, rules))
 
 
-def _fuse(x, y):
-    if x == y:
-        return x
-    if x == "o":
-        return y
-    if y == "o":
-        return x
-    return _FUSE.get((x, y)) or _FUSE[(y, x)]
+_FUSE = _fuse_table()
 
 
 def symmetric_closure(s):
@@ -210,75 +218,65 @@ def symmetric_closure(s):
     Any letter beats absence; a pure sign beats ambivalence; opposite pure
     signs fuse to ambivalence.
     """
-    n = s.n
-    out = np.full((n, n), "o", dtype="<U1")
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = _fuse(s.cells[i, j], s.cells[j, i])
-    return SignedMatrix(s.actors, out)
+    c = _encode(s.cells)
+    return SignedMatrix(s.actors, _LETTERS[_FUSE[c, c.T]])
 
 
-def _check_carrier(s, spec):
+def _product(a, b, spec):
+    """Semiring product of two code matrices, one gather per middle actor l."""
+    acc = np.full(a.shape, _CODE[spec.zero], dtype=np.uint8)
+    for l in range(len(a)):
+        acc = spec.add_lut[acc, spec.mul_lut[a[:, l, None], b[None, l, :]]]
+    return acc
+
+
+def _walk_sums(s, spec, semipaths, steps):
+    """Codes of q after up to `steps` steps of q <- q + q*m from q = m.
+
+    m is the matrix, symmetrized first with semipaths. + is idempotent and
+    * distributes over it, so t steps give m + m^2 + ... + m^(t+1); a step
+    that leaves q unchanged leaves every later step unchanged too, and the
+    loop stops there. Also returns whether it stopped on a stable q.
+    """
     extra = set(s.cells.ravel()) - set(spec.carrier)
     if extra:
         raise ComputationError(
             f"letters {sorted(extra)} are outside the {spec.mode} carrier"
         )
-
-
-def _matmul(a, b, spec):
-    n = a.shape[0]
-    out = np.full((n, n), spec.zero, dtype="<U1")
-    for i in range(n):
-        for j in range(n):
-            acc = spec.zero
-            for l in range(n):
-                acc = spec.add(acc, spec.mul(a[i, l], b[l, j]))
-            out[i, j] = acc
-    return out
-
-
-def _cellwise_add(a, b, spec):
-    n = a.shape[0]
-    out = np.empty((n, n), dtype="<U1")
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = spec.add(a[i, j], b[i, j])
-    return out
+    m = _encode(s.cells)
+    if semipaths:
+        m = _FUSE[m, m.T]
+    q = m
+    for _ in range(steps):
+        nxt = spec.add_lut[q, _product(q, m, spec)]
+        if np.array_equal(nxt, q):
+            return q, True
+        q = nxt
+    return q, False
 
 
 def semiring_powers(s, spec=BALANCE, k=2, semipaths=True):
     """Accumulate walks of length 1..k under the semiring.
 
     With semipaths the matrix is symmetrized first, so tie direction is
-    ignored; k=1 then returns the symmetric closure itself.
+    ignored; k=1 then returns the symmetric closure itself. The sum stops
+    growing once it is stable, so a large k costs no more than the closure.
     """
     if k < 1:
         raise ValidationError("k must be at least 1")
-    _check_carrier(s, spec)
-    m = symmetric_closure(s).cells if semipaths else s.cells
-    q = m.copy()
-    p = m
-    for _ in range(1, k):
-        p = _matmul(p, m, spec)
-        q = _cellwise_add(q, p, spec)
-    return SignedMatrix(s.actors, q)
+    q, _ = _walk_sums(s, spec, semipaths, k - 1)
+    return SignedMatrix(s.actors, _LETTERS[q])
 
 
 def balance_closure(s, spec=BALANCE, semipaths=True):
     """Accumulate walk valences until the matrix stops changing."""
-    _check_carrier(s, spec)
-    m = symmetric_closure(s).cells if semipaths else s.cells
-    q = m
     limit = max(1, s.n * len(spec.carrier))
-    for _ in range(limit):
-        nxt = _cellwise_add(q, _matmul(q, m, spec), spec)
-        if (nxt == q).all():
-            return SignedMatrix(s.actors, q)
-        q = nxt
-    raise NonConvergenceError(
-        f"no stable matrix within {limit} accumulation steps"
-    )
+    q, stable = _walk_sums(s, spec, semipaths, limit)
+    if not stable:
+        raise NonConvergenceError(
+            f"no stable matrix within {limit} accumulation steps"
+        )
+    return SignedMatrix(s.actors, _LETTERS[q])
 
 
 @dataclass(frozen=True)
@@ -291,27 +289,6 @@ class BalanceVerdict:
         return self.verdict == "balanced"
 
 
-def _plus_groups(q):
-    n = q.n
-    seen = [False] * n
-    groups = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in range(n):
-                if not seen[j] and (q.cells[i, j] == "p" or q.cells[j, i] == "p"):
-                    seen[j] = True
-                    comp.append(j)
-                    queue.append(j)
-        groups.append(tuple(q.actors[i] for i in sorted(comp)))
-    return tuple(groups)
-
-
 def is_balanced(q):
     """Read the verdict off the diagonal of a closure matrix.
 
@@ -319,12 +296,14 @@ def is_balanced(q):
     clustered into more than two antagonistic camps; n or a on the diagonal
     certifies imbalance. Groups are the components tied by positive cells.
     """
-    diag = [q.cells[i, i] for i in range(q.n)]
-    bad = next((i for i, v in enumerate(diag) if v in ("n", "a")), None)
-    if bad is not None:
-        return BalanceVerdict("imbalanced", q.actors[bad])
-    groups = _plus_groups(q)
-    dn = next((i for i, v in enumerate(diag) if v == "q"), None)
-    if dn is not None:
-        return BalanceVerdict("clusterable-only", q.actors[dn], groups)
+    diag = np.diagonal(q.cells)
+    bad = np.flatnonzero((diag == "n") | (diag == "a"))
+    if bad.size:
+        return BalanceVerdict("imbalanced", q.actors[bad[0]])
+    groups = tuple(
+        tuple(q.actors[i] for i in comp) for comp in connected_components(q.cells == "p")
+    )
+    dn = np.flatnonzero(diag == "q")
+    if dn.size:
+        return BalanceVerdict("clusterable-only", q.actors[dn[0]], groups)
     return BalanceVerdict("balanced", None, groups)

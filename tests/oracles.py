@@ -397,6 +397,83 @@ def walk_valence_sum(n, cells, add, mul, k):
     return grid
 
 
+# Signed matrix algebra one cell at a time, with a spec's letter tables.
+# The package encodes letters and evaluates through lookup arrays; these
+# compute every sum, product and fused dyad separately.
+
+
+def _matmul(a, b, spec):
+    n = a.shape[0]
+    out = np.full((n, n), spec.zero, dtype="<U1")
+    for i in range(n):
+        for j in range(n):
+            acc = spec.zero
+            for l in range(n):
+                acc = spec.add(acc, spec.mul(a[i, l], b[l, j]))
+            out[i, j] = acc
+    return out
+
+
+def _cellwise_add(a, b, spec):
+    n = a.shape[0]
+    out = np.empty((n, n), dtype="<U1")
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = spec.add(a[i, j], b[i, j])
+    return out
+
+
+_FUSE = {
+    ("p", "n"): "a",
+    ("p", "a"): "p",
+    ("n", "a"): "n",
+    ("p", "q"): "a",
+    ("n", "q"): "a",
+    ("a", "q"): "a",
+}
+
+
+def _fuse(x, y):
+    if x == y:
+        return x
+    if x == "o":
+        return y
+    if y == "o":
+        return x
+    return _FUSE.get((x, y)) or _FUSE[(y, x)]
+
+
+def symmetric_cells(cells):
+    """Each dyad's two directions fused into one letter, cell by cell."""
+    n = cells.shape[0]
+    out = np.full((n, n), "o", dtype="<U1")
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = _fuse(cells[i, j], cells[j, i])
+    return out
+
+
+def power_sum(m, spec, k):
+    """m + m^2 + ... + m^k, one power at a time."""
+    q = m.copy()
+    p = m
+    for _ in range(1, k):
+        p = _matmul(p, m, spec)
+        q = _cellwise_add(q, p, spec)
+    return q
+
+
+def closure_cells(m, spec, limit):
+    """q <- q + q*m from q = m until stable; None if not within `limit` steps."""
+    q = m
+    for _ in range(limit):
+        nxt = _cellwise_add(q, _matmul(q, m, spec), spec)
+        if (nxt == q).all():
+            return q
+        q = nxt
+    return None
+
+
 # ---------------------------------------------------------------------------
 # formal concepts
 

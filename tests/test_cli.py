@@ -23,6 +23,16 @@ from relalg.cli import main
 from relalg.netcore import network_to_dict
 
 
+def run_process(*args):
+    """The CLI in a fresh interpreter, from this source tree, with a timeout."""
+    src = str(pathlib.Path(relalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "relalg.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 @pytest.fixture(scope="module")
 def runner():
     return CliRunner()
@@ -306,6 +316,12 @@ class TestSigned:
         rows = [line.split()[1:] for line in r.output.splitlines()[2:] if line.strip()]
         assert rows == want
 
+    def test_large_k_ends_at_the_stable_sum(self, files):
+        args = ["semiring", files["ncc"], "--positive", "C", "--negative", "F"]
+        runs = [run_process(*args, *extra) for extra in (["--k", "1000000"], ["--closure"])]
+        assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+        assert runs[1].stdout.startswith(runs[0].stdout)
+
 
 class TestGalois:
     def test_concept_listing(self, runner, files):
@@ -427,13 +443,8 @@ def test_malformed_json_exits_2_without_traceback(case, tmp_path):
     command, data = MALFORMED[case]
     p = tmp_path / f"{case}.json"
     p.write_text(json.dumps(data))
-    src = str(pathlib.Path(relalg.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     args = [str(DATA / "netcs_semigroup.json") if a == "SG" else a for a in command.split()]
-    r = subprocess.run(
-        [sys.executable, "-m", "relalg.cli", *args, str(p)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    r = run_process(*args, str(p))
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("error: ")

@@ -14,6 +14,7 @@ from relalg import (
     Poset,
     RelationMatrix,
     SignedMatrix,
+    balance_closure,
     build_relation_box,
     build_semigroup,
     compose,
@@ -24,6 +25,7 @@ from relalg import (
     factorize,
     find_congruences,
     generate_strings,
+    is_congruence,
     person_hierarchy,
     semigroup_from_dict,
     semiring_powers,
@@ -72,10 +74,10 @@ def random_poset(draw, max_n=7):
 
 
 @st.composite
-def signed_matrix(draw, max_n=4, letters="pona"):
+def signed_matrix(draw, max_n=4, letters="pona", loops=False):
     n = draw(st.integers(2, max_n))
     cells = [
-        [draw(st.sampled_from(letters)) if i != j else "o" for j in range(n)]
+        [draw(st.sampled_from(letters)) if loops or i != j else "o" for j in range(n)]
         for i in range(n)
     ]
     return SignedMatrix(actor_names(n), cells)
@@ -329,6 +331,69 @@ class TestValences:
     def test_symmetric_closure_is_idempotent(self, s):
         once = symmetric_closure(s)
         assert symmetric_closure(once) == once
+
+
+class TestLookupEvaluator:
+    """The lookup-table evaluator matches the per-cell loops it replaced."""
+
+    CASES = [(o + letters, spec) for o in ("", "oooooo")
+             for letters, spec in (("pona", BALANCE), ("pona", CLUSTER), ("ponaq", CLUSTER))]
+
+    # sparse letter sets ("oooooo" + ...) give long shortest walks, so the
+    # walk sums go on changing past the first few powers
+    @settings(max_examples=150, **COMMON)
+    @given(
+        st.sampled_from(CASES).flatmap(
+            lambda case: st.tuples(
+                signed_matrix(max_n=8, letters=case[0], loops=True), st.just(case[1])
+            )
+        ),
+        st.booleans(),
+    )
+    def test_matches_per_cell_loops(self, case, semipaths):
+        s, spec = case
+        sym = oracles.symmetric_cells(s.cells)
+        assert (symmetric_closure(s).cells == sym).all()
+        m = sym if semipaths else s.cells
+        for k in range(1, 7):
+            got = semiring_powers(s, spec=spec, k=k, semipaths=semipaths)
+            assert (got.cells == oracles.power_sum(m, spec, k)).all()
+        want = oracles.closure_cells(m, spec, s.n * len(spec.carrier))
+        assert want is not None
+        assert (balance_closure(s, spec=spec, semipaths=semipaths).cells == want).all()
+
+
+@st.composite
+def table_and_classes(draw, max_n=7):
+    """A 0-based table and a class vector (ids 1..3, any order) over it.
+
+    The table is drawn over a quotient table of the classes, so the vector
+    starts out a congruence; one cell may then be overwritten at random.
+    """
+    n = draw(st.integers(1, max_n))
+    vector = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    members = {c: [x for x in range(n) if vector[x] == c] for c in vector}
+    quotient = {(a, b): draw(st.sampled_from(sorted(members))) for a in members for b in members}
+    table = [
+        [draw(st.sampled_from(members[quotient[vector[x], vector[y]]])) for y in range(n)]
+        for x in range(n)
+    ]
+    if draw(st.booleans()):
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[x][y] = draw(st.integers(0, n - 1))
+    return table, vector
+
+
+class TestCongruenceCheck:
+    @settings(max_examples=200, **COMMON)
+    @given(table_and_classes())
+    def test_matches_substitution_oracle(self, case):
+        table, vector = case
+        sg = semigroup_from_dict(
+            {"st": actor_names(len(table)), "table": [[c + 1 for c in row] for row in table]}
+        )
+        blocks = [{x for x, c in enumerate(vector) if c == k} for k in set(vector)]
+        assert is_congruence(sg, vector) == oracles.is_congruence(table, blocks)
 
 
 class TestHierarchies:

@@ -152,6 +152,13 @@ class TestSemiringPowers:
     def test_first_power_without_semipaths_is_the_input(self, netcsg):
         assert semiring_powers(netcsg, k=1, semipaths=False) == netcsg
 
+    def test_large_k_stops_at_the_closure(self, netcsg):
+        # once a step leaves the walk sum unchanged, every later step does too
+        for spec in (BALANCE, CLUSTER):
+            for semipaths in (True, False):
+                got = semiring_powers(netcsg, spec=spec, k=10**9, semipaths=semipaths)
+                assert got == balance_closure(netcsg, spec=spec, semipaths=semipaths)
+
     def test_k_must_be_positive(self, netcsg):
         with pytest.raises(ValidationError):
             semiring_powers(netcsg, k=0)
