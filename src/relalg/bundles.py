@@ -4,9 +4,17 @@ A bundle is the joint pattern of every tie type between one unordered pair
 of actors. Seven classes cover all possibilities; the reciprocal-flavored
 ones (reciprocal, exchange, mixed, full) are "strong" bonds, the one-way
 ones (asymmetric, entrainment) are "weak" bonds.
+
+`classify_dyad` is the specification. The census and the bond systems
+classify every pair at once from three counts per ordered pair (i, j): f,
+the slices with i -> j; b = f transposed; and both, the slices with ties
+both ways. classify_dyad's rules, in its order, become masks: null when
+f = b = 0; asymmetric or entrainment when one side is 0 and the other 1 or
+more; full when f = b = r; reciprocal when f = b = both = 1; exchange when
+both = 0; mixed otherwise. Counts are of the smallest dtype that holds r,
+so every work array keeps one byte a cell below 256 slices.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -98,22 +106,31 @@ class BundleCensus:
         return head + "\n" + row
 
 
-def _dyad_patterns(net):
-    names = net.slice_names
-    stack = np.stack([s.cells for s in net.slices])
-    for i, j in itertools.combinations(range(net.n), 2):
-        fwd = frozenset(names[s] for s in range(len(names)) if stack[s, i, j])
-        bwd = frozenset(names[s] for s in range(len(names)) if stack[s, j, i])
-        yield DyadPattern((net.actors[i], net.actors[j]), fwd, bwd)
+def _pair_classes(net):
+    """n x n int8 array of class codes (indices into CLASSES), symmetric."""
+    r = len(net.slices)
+    f = np.zeros((net.n, net.n), dtype=np.min_scalar_type(r))
+    both = np.zeros_like(f)
+    for s in net.slices:
+        f += s.cells
+        both += s.cells & s.cells.T
+    hi, lo = np.maximum(f, f.T), np.minimum(f, f.T)
+    codes = np.full(f.shape, CLASSES.index(MIXD), dtype=np.int8)
+    # classify_dyad's rules in reverse, so the first rule that holds wins
+    codes[both == 0] = CLASSES.index(TXCH)
+    codes[(hi == 1) & (both == 1)] = CLASSES.index(RECP)
+    codes[lo == r] = CLASSES.index(FULL)
+    codes[(lo == 0) & (hi > 1)] = CLASSES.index(TENT)
+    codes[(lo == 0) & (hi == 1)] = CLASSES.index(ASYM)
+    codes[hi == 0] = CLASSES.index(NULL)
+    return codes
 
 
 def bundle_census(net):
     """Count every unordered pair's bundle class. Diagonals are ignored."""
-    counts = {c: 0 for c in CLASSES}
-    r = len(net.slices)
-    for pattern in _dyad_patterns(net):
-        counts[classify_dyad(pattern, r)] += 1
-    return BundleCensus(n=net.n, counts=counts)
+    upper = ~np.tri(net.n, dtype=bool)
+    counts = np.bincount(_pair_classes(net)[upper], minlength=len(CLASSES))
+    return BundleCensus(n=net.n, counts=dict(zip(CLASSES, counts.tolist())))
 
 
 def _expand_bonds(bonds):
@@ -139,27 +156,15 @@ def relational_system(net, bonds):
     """
     if not bonds:
         raise ValidationError("bond selection must not be empty")
-    wanted = _expand_bonds(bonds)
-    r = len(net.slices)
-    index = {a: i for i, a in enumerate(net.actors)}
-    keep = {s.name: np.zeros((net.n, net.n), dtype=bool) for s in net.slices}
-    involved = set()
-    for pattern in _dyad_patterns(net):
-        if classify_dyad(pattern, r) not in wanted:
-            continue
-        i, j = (index[a] for a in pattern.pair)
-        for name in pattern.forward:
-            keep[name][i, j] = True
-        for name in pattern.backward:
-            keep[name][j, i] = True
-        involved.update(pattern.pair)
-    actors = [a for a in net.actors if a in involved]
-    idx = np.asarray([index[a] for a in actors], dtype=int)
-    slices = []
-    for s in net.slices:
-        sub = keep[s.name][np.ix_(idx, idx)] if len(idx) else np.zeros((0, 0), bool)
-        slices.append(RelationMatrix(s.name, actors, sub))
-    return MultiplexNetwork(actors, slices)
+    wanted = [CLASSES.index(c) for c in _expand_bonds(bonds)]
+    keep = np.isin(_pair_classes(net), wanted)
+    np.fill_diagonal(keep, False)
+    idx = np.flatnonzero(keep.any(axis=1))
+    actors = [net.actors[i] for i in idx]
+    sub = np.ix_(idx, idx)
+    return MultiplexNetwork(
+        actors, [RelationMatrix(s.name, actors, s.cells[sub] & keep[sub]) for s in net.slices]
+    )
 
 
 def pair_lists(system):

@@ -58,8 +58,8 @@ class Congruence:
 
 
 def _table(sg):
-    """The 0-based index table as an order x order array."""
-    return np.asarray(sg.index_table(), dtype=int).reshape(sg.order, sg.order)
+    """The 0-based index table as a read-only order x order array."""
+    return sg._idx
 
 
 def _translations(sg):

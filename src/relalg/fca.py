@@ -14,7 +14,7 @@ import io
 import numpy as np
 
 from .errors import ValidationError
-from .netcore import bool_rows, string_list
+from .netcore import bool_rows, containment, string_list
 from .semigroup import Poset
 
 
@@ -135,6 +135,8 @@ class Concepts:
     def __init__(self, ctx, members):
         self.context = ctx
         self.members = tuple(members)
+        self._by_extent = {c.extent: c for c in self.members}
+        self._by_intent = {c.intent: c for c in self.members}
 
     def __len__(self):
         return len(self.members)
@@ -146,11 +148,7 @@ class Concepts:
         return self.members[i]
 
     def by_extent(self, labels):
-        want = frozenset(labels)
-        for c in self.members:
-            if c.extent == want:
-                return c
-        return None
+        return self._by_extent.get(frozenset(labels))
 
     def to_dict(self):
         out = []
@@ -179,32 +177,25 @@ def concepts(ctx):
     cols = []
     for j, m in enumerate(ctx.attributes):
         cols.append(frozenset(ctx.objects[i] for i in np.nonzero(ctx.incidence[:, j])[0]))
-    extents = []
-    for e in cols:
-        if e not in extents:
-            extents.append(e)
-    i = 0
-    while i < len(extents):
+    extents = list(dict.fromkeys(cols))
+    seen = set(extents)
+    for a in extents:  # grows while it is walked
         for e in cols:
-            inter = extents[i] & e
-            if inter not in extents:
+            inter = a & e
+            if inter not in seen:
+                seen.add(inter)
                 extents.append(inter)
-        i += 1
     full = frozenset(ctx.objects)
-    if full not in extents:
+    if full not in seen:
         extents.append(full)
-    members = [
-        Concept(i + 1, e, derive(ctx, e)) for i, e in enumerate(extents)
-    ]
-    by_extent = {c.extent: c for c in members}
+    cs = Concepts(ctx, [Concept(i + 1, e, derive(ctx, e)) for i, e in enumerate(extents)])
     for g in ctx.objects:
-        closure = extent(ctx, derive(ctx, [g]))
-        c = by_extent[closure]
+        c = cs.by_extent(extent(ctx, derive(ctx, [g])))
         c.reduced_objects = c.reduced_objects + (g,)
     for m, e in zip(ctx.attributes, cols):
-        c = by_extent[e]
+        c = cs.by_extent(e)
         c.reduced_attributes = c.reduced_attributes + (m,)
-    return Concepts(ctx, members)
+    return cs
 
 
 class ConceptOrder(Poset):
@@ -215,12 +206,10 @@ class ConceptOrder(Poset):
             labels = [f"c{c.index}" for c in cs]
         elif len(labels) != len(cs):
             raise ValidationError("need one label per concept")
-        n = len(cs)
-        m = np.zeros((n, n), dtype=bool)
-        for i, a in enumerate(cs):
-            for j, b in enumerate(cs):
-                m[i, j] = a.extent <= b.extent
-        super().__init__(labels, m)
+        x = np.zeros((len(cs), len(cs.context.objects)), dtype=bool)
+        for i, c in enumerate(cs):
+            x[i] = [g in c.extent for g in cs.context.objects]
+        super().__init__(labels, containment(x))
         self.concepts = cs
 
     def meet(self, i, j):
@@ -233,11 +222,10 @@ class ConceptOrder(Poset):
 
     def join(self, i, j):
         """The concept whose intent is the intersection of two intents."""
-        want = self.concepts[i].intent & self.concepts[j].intent
-        for c in self.concepts:
-            if c.intent == want:
-                return c
-        raise ValidationError("intent intersection is not a concept")
+        c = self.concepts._by_intent.get(self.concepts[i].intent & self.concepts[j].intent)
+        if c is None:
+            raise ValidationError("intent intersection is not a concept")
+        return c
 
 
 def concept_order(cs, labels=None):

@@ -124,6 +124,12 @@ def bool_product(a, b):
     return np.asarray(a, dtype=bool) @ np.asarray(b, dtype=bool)
 
 
+def containment(x):
+    """i <= j when row i of a boolean matrix lies inside row j."""
+    x = np.asarray(x, dtype=bool)
+    return ~bool_product(x, ~x.T)
+
+
 def transpose(a):
     return RelationMatrix("t" + a.name, a.actors, a.cells.T)
 

@@ -9,7 +9,7 @@ ego by ego and cumulated into one hierarchy.
 import numpy as np
 
 from .errors import ValidationError
-from .netcore import MultiplexNetwork, RelationMatrix, bool_product
+from .netcore import MultiplexNetwork, RelationMatrix, bool_product, containment
 from .semigroup import Poset, _words, transitive_closure
 
 
@@ -32,6 +32,8 @@ class RelationBox:
 
     def slice_array(self):
         """The box as an n x n x depth boolean array."""
+        if not self.slices:
+            return np.zeros((self.n, self.n, 0), dtype=bool)
         return np.stack(self.slices, axis=2)
 
 
@@ -51,7 +53,7 @@ def _ego_order(profile):
     `profile` is ego's actor x slice plane of the box: row j holds the
     slices where ego reaches j.
     """
-    m = ~bool_product(profile, ~profile.T)
+    m = containment(profile)
     m[~profile.any(axis=1)] = False
     return m
 

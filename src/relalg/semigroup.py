@@ -18,7 +18,7 @@ import os
 import numpy as np
 
 from .errors import ClosureTooLargeError, ValidationError
-from .netcore import bool_product, bool_rows, permutation_order, string_list
+from .netcore import bool_product, bool_rows, containment, permutation_order, string_list
 
 DEFAULT_MAX_CLOSURE = 100_000
 
@@ -362,5 +362,4 @@ def transitive_closure(matrix):
 
 def string_partial_order(strings):
     """Containment order: i <= j iff no cell of image i lies outside image j."""
-    x = np.array([np.ravel(img) for img in strings.images], dtype=bool)
-    return Poset(strings.st, ~bool_product(x, ~x.T))
+    return Poset(strings.st, containment([np.ravel(img) for img in strings.images]))

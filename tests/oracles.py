@@ -91,6 +91,34 @@ def census_counts(n, slice_ties):
     return counts
 
 
+# The package classifies every pair at once from slice counts; this is the
+# per-pair walk relational_system made before, over index pairs and
+# name-keyed boolean matrices.
+
+
+def relational_system(actors, slices, wanted):
+    """Ties on dyads whose class is wanted, over the actors keeping one.
+
+    slices: {name: n x n boolean matrix}. Returns (actors, {name: matrix}).
+    """
+    names = list(slices)
+    n, r = len(actors), len(names)
+    keep = {name: np.zeros((n, n), dtype=bool) for name in names}
+    involved = set()
+    for i, j in itertools.combinations(range(n), 2):
+        fwd = frozenset(s for s in names if slices[s][i, j])
+        bwd = frozenset(s for s in names if slices[s][j, i])
+        if classify_dyad_sets(fwd, bwd, r) not in wanted:
+            continue
+        for name in fwd:
+            keep[name][i, j] = True
+        for name in bwd:
+            keep[name][j, i] = True
+        involved.update((i, j))
+    idx = np.asarray(sorted(involved), dtype=int)
+    return [actors[i] for i in idx], {s: keep[s][np.ix_(idx, idx)] for s in names}
+
+
 # ---------------------------------------------------------------------------
 # multiplication table and containment order, one cell at a time
 #
@@ -504,6 +532,43 @@ def all_concepts(incidence):
             extent = common_objs(intent)
             out.add((extent, intent))
     return out
+
+
+# The package keeps a set index beside its extent list and takes the order
+# from one boolean product; these scan the list and compare every pair.
+
+
+def concept_extents(incidence):
+    """Extents as index frozensets, in the pinned discovery order: column
+    extents, then each listed extent and each column, then the full set."""
+    nobj = len(incidence)
+    natt = len(incidence[0]) if nobj else 0
+    cols = [frozenset(g for g in range(nobj) if incidence[g][m]) for m in range(natt)]
+    extents = []
+    for e in cols:
+        if e not in extents:
+            extents.append(e)
+    i = 0
+    while i < len(extents):
+        for e in cols:
+            inter = extents[i] & e
+            if inter not in extents:
+                extents.append(inter)
+        i += 1
+    full = frozenset(range(nobj))
+    if full not in extents:
+        extents.append(full)
+    return extents
+
+
+def concept_order(extents):
+    """c <= d when the extent of c sits inside d's, one pair at a time."""
+    n = len(extents)
+    m = np.zeros((n, n), dtype=bool)
+    for i, a in enumerate(extents):
+        for j, b in enumerate(extents):
+            m[i, j] = a <= b
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 import oracles
@@ -15,7 +17,7 @@ from relalg import (
     pair_lists,
     relational_system,
 )
-from relalg.bundles import ASYM, DyadPattern, FULL, MIXD, NULL, RECP, TENT, TXCH
+from relalg.bundles import ASYM, CLASSES, DyadPattern, FULL, MIXD, NULL, RECP, TENT, TXCH
 
 
 def pattern(fwd, bwd):
@@ -85,6 +87,54 @@ class TestCensus:
             22, null=206, asym=14, recp=3, tent=1, txch=1, mixd=6, full=0
         )
         assert sum(census.counts.values()) == math.comb(22, 2)
+
+
+def subsets(items):
+    return [
+        frozenset(c) for k in range(len(items) + 1) for c in itertools.combinations(items, k)
+    ]
+
+
+class TestPairClasses:
+    """The census classifies from slice counts; classify_dyad is the spec."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_every_slice_pattern_of_one_dyad(self, r):
+        names = [f"S{s}" for s in range(r)]
+        for fwd, bwd in itertools.product(subsets(names), repeat=2):
+            net = MultiplexNetwork(
+                ["i", "j"],
+                [
+                    RelationMatrix.from_ties(
+                        name, ["i", "j"],
+                        [("i", "j")] * (name in fwd) + [("j", "i")] * (name in bwd),
+                    )
+                    for name in names
+                ],
+            )
+            want = classify_dyad(pattern(fwd, bwd), r)
+            counts = bundle_census(net).counts
+            assert counts == {c: int(c == want) for c in CLASSES}, (fwd, bwd)
+            system = relational_system(net, [want] if want != NULL else ["strong", "weak"])
+            assert system.actors == (() if want == NULL else ("i", "j"))
+
+    @pytest.mark.parametrize("r", [255, 300])
+    def test_counts_do_not_wrap(self, r):
+        # a0-a1 full in every slice both ways, a0-a2 one tie in one slice
+        actors = ["a0", "a1", "a2"]
+        full = [("a0", "a1"), ("a1", "a0")]
+        net = MultiplexNetwork(
+            actors,
+            [
+                RelationMatrix.from_ties(f"S{s}", actors, full + [("a2", "a0")] * (s == 7))
+                for s in range(r)
+            ],
+        )
+        counts = bundle_census(net).counts
+        assert counts == {c: int(c in (NULL, ASYM, FULL)) for c in CLASSES}
+        system = relational_system(net, ["full"])
+        assert system.actors == ("a0", "a1")
+        assert all(np.array_equal(s.cells, [[0, 1], [1, 0]]) for s in system.slices)
 
 
 class TestStatistics:

@@ -10,6 +10,7 @@ from relalg import (
     ClosureTooLargeError,
     MultiplexNetwork,
     RelationMatrix,
+    RelationBox,
     ValidationError,
     build_relation_box,
     compose,
@@ -90,6 +91,10 @@ class TestPersonHierarchy:
         with pytest.raises(ValidationError):
             person_hierarchy(build_relation_box(ncc, k=1), "nobody")
 
+    def test_empty_box_gives_the_identity_order(self):
+        po = person_hierarchy(RelationBox(["a", "b"], [], [], 1), "a")
+        assert (po.matrix == np.eye(2, dtype=bool)).all()
+
 
 class TestCumulatedHierarchy:
     def test_ncc_golden(self, ncc):
@@ -106,6 +111,11 @@ class TestCumulatedHierarchy:
             (i, j) for i in range(box.n) for j in range(box.n) if got.matrix[i, j]
         }
         assert have == want
+
+    def test_empty_box_gives_the_identity_order(self):
+        box = RelationBox(["a", "b", "c"], [], [], 1)
+        assert box.slice_array().shape == (3, 3, 0)
+        assert (cumulated_hierarchy(box).matrix == np.eye(3, dtype=bool)).all()
 
     def test_reflexive_and_transitive(self, netcs):
         po = cumulated_hierarchy(build_relation_box(netcs, k=2))

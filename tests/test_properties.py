@@ -18,6 +18,7 @@ from relalg import (
     build_relation_box,
     build_semigroup,
     compose,
+    concept_order,
     concepts,
     cumulated_hierarchy,
     derive,
@@ -33,7 +34,7 @@ from relalg import (
     symmetric_closure,
     transitive_closure,
 )
-from relalg.bundles import bundle_census
+from relalg.bundles import bundle_census, relational_system
 from relalg.semigroup import StringSet
 from relalg.decomp import _translations
 from relalg.dot import hasse_dot
@@ -117,6 +118,31 @@ class TestCensus:
     def test_every_dyad_lands_in_one_class(self, net):
         total = sum(bundle_census(net).counts.values())
         assert total == net.n * (net.n - 1) // 2
+
+
+BOND_SELECTORS = ("strong", "weak", "asym", "recp", "tent", "txch", "mixd", "full")
+EXPANDED = {"strong": {"recp", "txch", "mixd", "full"}, "weak": {"asym", "tent"}}
+
+
+class TestRelationalSystem:
+    """The class-array bond system matches the per-pair walk it replaced."""
+
+    @settings(max_examples=150, **COMMON)
+    @given(
+        network(max_n=9, max_slices=4),
+        st.lists(st.sampled_from(BOND_SELECTORS), min_size=1, max_size=3),
+    )
+    def test_matches_per_pair_walk(self, net, bonds):
+        wanted = set().union(*(EXPANDED.get(b, {b}) for b in bonds))
+        got = relational_system(net, bonds)
+        actors, cells = oracles.relational_system(
+            net.actors, {s.name: s.cells for s in net.slices}, wanted
+        )
+        assert list(got.actors) == actors
+        assert got.slice_names == net.slice_names
+        for s in got.slices:
+            assert s.cells.shape == cells[s.name].shape
+            assert (s.cells == cells[s.name]).all()
 
 
 def small_closure(net, cap=25):
@@ -290,6 +316,32 @@ class TestGalois:
             for c in concepts(ctx)
         }
         assert got == oracles.all_concepts(inc)
+
+
+class TestConceptIndex:
+    """The set-indexed listing and the one-product order match the list scan
+    and the pairwise comparison they replaced."""
+
+    @settings(max_examples=150, **COMMON)
+    @given(st.integers(1, 9), st.integers(1, 7), st.data())
+    def test_listing_and_order_match_the_scans(self, no, na, data):
+        inc = data.draw(
+            st.lists(
+                st.lists(st.booleans(), min_size=na, max_size=na),
+                min_size=no,
+                max_size=no,
+            )
+        )
+        objs = [f"o{i}" for i in range(no)]
+        ctx = FormalContext(objs, [f"m{j}" for j in range(na)], inc)
+        cs = concepts(ctx)
+        extents = oracles.concept_extents(inc)
+        assert [c.extent for c in cs] == [frozenset(objs[g] for g in e) for e in extents]
+        co = concept_order(cs)
+        assert (co.matrix == oracles.concept_order(extents)).all()
+        for c in cs:
+            assert cs.by_extent(c.extent) is c
+            assert co.join(c.index - 1, 0).intent == c.intent & cs[0].intent
 
 
 class TestHasse:
