@@ -17,10 +17,12 @@ is the same, only slower.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
+from .netcore import containment
 from .semigroup import Poset, transitive_closure
 
 
@@ -188,14 +190,8 @@ class PiRelation:
     def partition(self):
         """Classes of mutually related elements, canonically numbered."""
         mutual = self.matrix & self.matrix.T
-        n = len(self.labels)
-        assign = list(range(n))
-        for i in range(n):
-            for j in range(i):
-                if mutual[i, j]:
-                    assign[i] = assign[j]
-                    break
-        return _canonical(assign)
+        np.fill_diagonal(mutual, True)
+        return _canonical(np.argmax(mutual, axis=1).tolist())
 
 
 def _pi_close(maps, closed, pairs):
@@ -219,45 +215,41 @@ def _pi_close(maps, closed, pairs):
 
 
 class PiLattice:
-    """The distinct principal compatible quasi-orders over a table + order."""
+    """The distinct principal compatible quasi-orders over a table + order.
+
+    On its first query the lattice builds one inclusion matrix over its
+    members, `containment` of their flattened cells, and keeps its strict
+    part `_lt`. `atoms`, `meet_complements` and `designated_complement` are
+    masks on it; none compares members itself.
+    """
 
     def __init__(self, labels, base, members):
         self.labels = tuple(labels)
         self.base = base                      # the underlying partial order
         self.members = tuple(members)
+        self._cells = np.array([m.matrix.reshape(-1) for m in self.members], dtype=bool)
+
+    @cached_property
+    def _lt(self):
+        """_lt[i, j]: member i lies strictly inside member j."""
+        leq = containment(self._cells)
+        return leq & ~leq.T
 
     def atoms(self):
         """Inclusion-minimal members strictly above the base order."""
-        out = []
-        for m in self.members:
-            if np.array_equal(m.matrix, self.base):
-                continue
-            minimal = True
-            for other in self.members:
-                if other is m or np.array_equal(other.matrix, self.base):
-                    continue
-                if m.contains(other) and not other.contains(m):
-                    minimal = False
-                    break
-            if minimal:
-                out.append(m)
-        return out
+        proper = ~(self._cells == np.reshape(self.base, -1)).all(axis=1)
+        has_lower = (self._lt & proper[:, None]).any(axis=0)
+        return [self.members[i] for i in np.flatnonzero(proper & ~has_lower)]
 
     def meet_complements(self, atom):
         """Maximal members that do not contain the given atom."""
-        non = [m for m in self.members if not m.contains(atom)]
-        out = []
-        for m in non:
-            if not any(o is not m and o.contains(m) and not m.contains(o) for o in non):
-                out.append(m)
-        return out
+        non = (atom.matrix.reshape(-1) & ~self._cells).any(axis=1)
+        has_upper = (self._lt & non[None, :]).any(axis=1)
+        return [self.members[i] for i in np.flatnonzero(non & ~has_upper)]
 
     def designated_complement(self, atom):
         """The largest meet complement (ties broken by cell pattern)."""
-        mcs = self.meet_complements(atom)
-        if not mcs:
-            return None
-        return sorted(mcs, key=lambda m: (-m.size, m.key()))[0]
+        return min(self.meet_complements(atom), key=lambda m: (-m.size, m.key()), default=None)
 
 
 def factorize(sg, po):
@@ -265,10 +257,12 @@ def factorize(sg, po):
 
     For each ordered pair not already comparable, the pair is adjoined and
     closed; the distinct results, together with the order itself, form the
-    lattice searched for atoms and their complements.
+    lattice searched for atoms and their complements. The element order must
+    be a partial order.
     """
     if tuple(po.labels) != tuple(sg.st):
         raise ValidationError("order and table must share their element labels")
+    po.check()
     t, maps = _translations(sg)
     n = len(t)
     base = np.asarray(po.matrix, dtype=bool)

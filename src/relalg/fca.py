@@ -14,7 +14,7 @@ import io
 import numpy as np
 
 from .errors import ValidationError
-from .netcore import bool_rows, containment, string_list
+from .netcore import bool_product, bool_rows, containment, string_list
 from .semigroup import Poset
 
 
@@ -73,41 +73,27 @@ class FormalContext:
             "incidence": [[int(x) for x in row] for row in self.incidence],
         }
 
-    def _object_indices(self, labels):
-        out = []
-        for g in labels:
-            try:
-                out.append(self.objects.index(g))
-            except ValueError:
-                raise ValidationError(f"unknown object {g!r}") from None
-        return out
 
-    def _attribute_indices(self, labels):
-        out = []
-        for m in labels:
-            try:
-                out.append(self.attributes.index(m))
-            except ValueError:
-                raise ValidationError(f"unknown attribute {m!r}") from None
-        return out
+def _indices(pool, labels, what):
+    """Positions of labels in pool; an unknown label is a ValidationError."""
+    out = []
+    for x in labels:
+        if x not in pool:
+            raise ValidationError(f"unknown {what} {x!r}")
+        out.append(pool.index(x))
+    return out
 
 
 def derive(ctx, objects):
     """Attributes shared by every given object (all of them for none)."""
-    idx = ctx._object_indices(objects)
-    mask = np.ones(len(ctx.attributes), dtype=bool)
-    for i in idx:
-        mask &= ctx.incidence[i]
-    return frozenset(ctx.attributes[j] for j in np.nonzero(mask)[0])
+    mask = ctx.incidence[_indices(ctx.objects, objects, "object")].all(axis=0)
+    return frozenset(ctx.attributes[j] for j in np.flatnonzero(mask))
 
 
 def extent(ctx, attributes):
     """Objects carrying every given attribute (all of them for none)."""
-    idx = ctx._attribute_indices(attributes)
-    mask = np.ones(len(ctx.objects), dtype=bool)
-    for j in idx:
-        mask &= ctx.incidence[:, j]
-    return frozenset(ctx.objects[i] for i in np.nonzero(mask)[0])
+    mask = ctx.incidence[:, _indices(ctx.attributes, attributes, "attribute")].all(axis=1)
+    return frozenset(ctx.objects[i] for i in np.flatnonzero(mask))
 
 
 class Concept:
@@ -130,11 +116,17 @@ class Concept:
 
 
 class Concepts:
-    """The full concept listing of a context, in canonical order."""
+    """The full concept listing of a context, in canonical order.
 
-    def __init__(self, ctx, members):
+    It keeps the C x |G| extent matrix the enumeration built: row k marks
+    the objects of concept k + 1. `ConceptOrder` is its `containment`.
+    """
+
+    def __init__(self, ctx, members, extent_matrix):
         self.context = ctx
         self.members = tuple(members)
+        self.extent_matrix = np.asarray(extent_matrix, dtype=bool)
+        self.extent_matrix.setflags(write=False)
         self._by_extent = {c.extent: c for c in self.members}
         self._by_intent = {c.intent: c for c in self.members}
 
@@ -170,13 +162,17 @@ def concepts(ctx):
 
     Attribute column extents seed the list in column order; intersections
     of listed extents with the columns follow, in discovery order; the full
-    object set is appended last if still missing. Reduced labels are then
-    assigned: each object to the smallest concept containing it, each
-    attribute to its own column concept.
+    object set is appended last if still missing. Extents are enumerated as
+    bitsets (bit g for object g), then unpacked into the extent matrix X once;
+    the intents are ~(X . ~incidence). Reduced labels are then assigned:
+    each object to the smallest concept containing it, whose extent is the
+    object's row of containment(incidence), and each attribute to its own
+    column concept.
     """
-    cols = []
-    for j, m in enumerate(ctx.attributes):
-        cols.append(frozenset(ctx.objects[i] for i in np.nonzero(ctx.incidence[:, j])[0]))
+    inc = ctx.incidence
+    nobj = len(ctx.objects)
+    packed = np.packbits(inc.T, axis=1, bitorder="little")
+    cols = [int.from_bytes(row.tobytes(), "little") for row in packed]
     extents = list(dict.fromkeys(cols))
     seen = set(extents)
     for a in extents:  # grows while it is walked
@@ -185,16 +181,24 @@ def concepts(ctx):
             if inter not in seen:
                 seen.add(inter)
                 extents.append(inter)
-    full = frozenset(ctx.objects)
+    full = (1 << nobj) - 1
     if full not in seen:
         extents.append(full)
-    cs = Concepts(ctx, [Concept(i + 1, e, derive(ctx, e)) for i, e in enumerate(extents)])
-    for g in ctx.objects:
-        c = cs.by_extent(extent(ctx, derive(ctx, [g])))
-        c.reduced_objects = c.reduced_objects + (g,)
-    for m, e in zip(ctx.attributes, cols):
-        c = cs.by_extent(e)
-        c.reduced_attributes = c.reduced_attributes + (m,)
+    width = (nobj + 7) // 8
+    raw = np.frombuffer(b"".join(e.to_bytes(width, "little") for e in extents), np.uint8)
+    x = np.unpackbits(raw.reshape(len(extents), width), axis=1, count=nobj, bitorder="little") > 0
+    intents = ~bool_product(x, ~inc)
+    objects = np.array(ctx.objects, dtype=object)
+    attributes = np.array(ctx.attributes, dtype=object)
+    members = [
+        Concept(k, objects[e], attributes[i]) for k, (e, i) in enumerate(zip(x, intents), 1)
+    ]
+    cs = Concepts(ctx, members, x)
+    position = {row.tobytes(): k for k, row in enumerate(x)}
+    for g, row in zip(ctx.objects, containment(inc)):
+        cs[position[row.tobytes()]].reduced_objects += (g,)
+    for m, col in zip(ctx.attributes, inc.T):
+        cs[position[col.tobytes()]].reduced_attributes += (m,)
     return cs
 
 
@@ -206,10 +210,7 @@ class ConceptOrder(Poset):
             labels = [f"c{c.index}" for c in cs]
         elif len(labels) != len(cs):
             raise ValidationError("need one label per concept")
-        x = np.zeros((len(cs), len(cs.context.objects)), dtype=bool)
-        for i, c in enumerate(cs):
-            x[i] = [g in c.extent for g in cs.context.objects]
-        super().__init__(labels, containment(x))
+        super().__init__(labels, containment(cs.extent_matrix))
         self.concepts = cs
 
     def meet(self, i, j):

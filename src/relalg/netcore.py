@@ -229,14 +229,15 @@ def string_list(value, what):
 
 
 def bool_rows(value, nrows, ncols, what):
-    """value itself, if it is nrows lists of ncols cells that are 0, 1 or a bool."""
+    """value as an nrows x ncols bool array, if it is nrows lists of ncols
+    cells that are 0, 1 or a bool (no rows at all make a 0 x ncols array)."""
     if not isinstance(value, list) or len(value) != nrows or not all(
         isinstance(row, list) and len(row) == ncols
         and all(isinstance(x, int) and x in (0, 1) for x in row)
         for row in value
     ):
         raise ValidationError(f"{what} must be {nrows} lists of {ncols} cells of 0/1")
-    return value
+    return np.array(value, dtype=bool).reshape(nrows, ncols)
 
 
 def network_from_dict(data):

@@ -384,6 +384,68 @@ def pi_members(table, base):
     return members
 
 
+# The package reads atoms and meet complements off one inclusion matrix over
+# the flattened members, and partitions by one argmax; these compare members
+# pair by pair. Members are boolean matrices; results are member positions.
+
+
+def _contains(a, b):
+    return bool((b <= a).all())
+
+
+def pi_atoms(members, base):
+    """Inclusion-minimal members strictly above the base order."""
+    out = []
+    for i, m in enumerate(members):
+        if np.array_equal(m, base):
+            continue
+        minimal = True
+        for j, other in enumerate(members):
+            if j == i or np.array_equal(other, base):
+                continue
+            if _contains(m, other) and not _contains(other, m):
+                minimal = False
+                break
+        if minimal:
+            out.append(i)
+    return out
+
+
+def pi_meet_complements(members, atom):
+    """Maximal members that do not contain the given atom."""
+    non = [i for i, m in enumerate(members) if not _contains(m, atom)]
+    out = []
+    for i in non:
+        m = members[i]
+        if not any(
+            j != i and _contains(members[j], m) and not _contains(m, members[j])
+            for j in non
+        ):
+            out.append(i)
+    return out
+
+
+def pi_designated_complement(members, atom):
+    """The largest meet complement, ties broken by cell pattern."""
+    mcs = pi_meet_complements(members, atom)
+    if not mcs:
+        return None
+    return sorted(mcs, key=lambda i: (-int(members[i].sum()), members[i].tobytes()))[0]
+
+
+def mutual_partition(matrix):
+    """Classes of mutually related elements, canonically numbered."""
+    mutual = matrix & matrix.T
+    n = len(matrix)
+    assign = list(range(n))
+    for i in range(n):
+        for j in range(i):
+            if mutual[i, j]:
+                assign[i] = assign[j]
+                break
+    return _canonical(assign)
+
+
 # ---------------------------------------------------------------------------
 # signed walks
 
@@ -540,9 +602,11 @@ def all_concepts(incidence):
 
 def concept_extents(incidence):
     """Extents as index frozensets, in the pinned discovery order: column
-    extents, then each listed extent and each column, then the full set."""
-    nobj = len(incidence)
-    natt = len(incidence[0]) if nobj else 0
+    extents, then each listed extent and each column, then the full set.
+
+    incidence: a boolean objects x attributes array (either count may be 0).
+    """
+    nobj, natt = np.shape(incidence)
     cols = [frozenset(g for g in range(nobj) if incidence[g][m]) for m in range(natt)]
     extents = []
     for e in cols:
@@ -569,6 +633,34 @@ def concept_order(extents):
         for j, b in enumerate(extents):
             m[i, j] = a <= b
     return m
+
+
+# The package takes intents from one boolean product over its extent matrix
+# and reduced labels from row lookups; these derive them one concept and one
+# object at a time.
+
+
+def concept_labels(incidence, extents):
+    """(intent, reduced objects, reduced attributes) of each listed extent, as
+    index frozensets and ascending index tuples."""
+    nobj, natt = np.shape(incidence)
+
+    def derive(objs):
+        return frozenset(m for m in range(natt) if all(incidence[g][m] for g in objs))
+
+    def extent(atts):
+        return frozenset(g for g in range(nobj) if all(incidence[g][m] for m in atts))
+
+    reduced_objects = [[] for _ in extents]
+    for g in range(nobj):
+        reduced_objects[extents.index(extent(derive([g])))].append(g)
+    reduced_attributes = [[] for _ in extents]
+    for m in range(natt):
+        reduced_attributes[extents.index(extent([m]))].append(m)
+    return [
+        (derive(e), tuple(objs), tuple(atts))
+        for e, objs, atts in zip(extents, reduced_objects, reduced_attributes)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,17 @@ class TestDecomp:
         r = runner.invoke(main, ["decomp", sg_file, "--mode", "mca"])
         assert r.exit_code == 2
 
+    def test_mca_rejects_a_poset_that_is_no_partial_order(self, tmp_path):
+        sg = tmp_path / "sg.json"
+        sg.write_text(json.dumps({"st": ["a", "b"], "table": [[1, 2], [2, 1]]}))
+        po = tmp_path / "po.json"
+        po.write_text(json.dumps({"labels": ["a", "b"], "matrix": [[0, 1], [1, 0]]}))
+        r = run_process("decomp", str(sg), "--mode", "mca", "--poset", str(po))
+        assert r.returncode == 2, r.stdout
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: not a poset")
+        assert len(r.stderr.splitlines()) == 1
+
 
 class TestSigned:
     def test_letter_matrix(self, runner, files):
@@ -398,6 +409,24 @@ class TestDot:
     def test_unknown_kind(self, runner, files):
         r = runner.invoke(main, ["dot", "spiral", files["ncc"]])
         assert r.exit_code == 2
+
+
+class TestEmptyInputs:
+    """Well-formed documents with no objects or no elements load and run."""
+
+    def test_galois_on_a_context_without_objects(self, runner, tmp_path):
+        p = tmp_path / "ctx.json"
+        p.write_text(json.dumps({"objects": [], "attributes": ["x"], "incidence": []}))
+        r = runner.invoke(main, ["galois", str(p)])
+        assert r.exit_code == 0, r.output
+        assert r.output.splitlines() == ["concepts: 1", "c1: {x} {}"]
+
+    def test_hasse_of_the_empty_poset(self, runner, tmp_path):
+        p = tmp_path / "po.json"
+        p.write_text(json.dumps({"labels": [], "matrix": []}))
+        r = runner.invoke(main, ["dot", "hasse", str(p)])
+        assert r.exit_code == 0, r.output
+        assert r.output.startswith("digraph hasse {")
 
 
 NETCS_ST = golden("netcs_semigroup.json")["st"]

@@ -238,6 +238,37 @@ class TestTranslationClosure:
             assert got_pi == want_pi
 
 
+class TestPiLatticeQueries:
+    """Atoms, meet complements and partitions read off the lattice's one
+    inclusion matrix match the pairwise comparisons, member for member."""
+
+    @settings(
+        max_examples=150, suppress_health_check=[HealthCheck.filter_too_much], **COMMON
+    )
+    @given(network(max_n=4, min_slices=2))
+    def test_match_pairwise_oracles(self, net):
+        strings = small_closure(net, cap=12)
+        sg = build_semigroup(strings)
+        lattice = factorize(sg, string_partial_order(strings))
+        members = [m.matrix for m in lattice.members]
+        pos = {id(m): i for i, m in enumerate(lattice.members)}
+
+        def positions(found):
+            return [pos[id(m)] for m in found]
+
+        atoms = lattice.atoms()
+        assert positions(atoms) == oracles.pi_atoms(members, lattice.base)
+        for atom in atoms:
+            assert positions(lattice.meet_complements(atom)) == (
+                oracles.pi_meet_complements(members, atom.matrix)
+            )
+            got = lattice.designated_complement(atom)
+            want = oracles.pi_designated_complement(members, atom.matrix)
+            assert (got is None and want is None) or pos[id(got)] == want
+        for m in lattice.members:
+            assert m.partition() == oracles.mutual_partition(m.matrix)
+
+
 class TestTableAndOrder:
     """The Cayley-graph table and the one-product containment order match the
     per-cell oracles, on closures and on hand-built sets."""
@@ -319,11 +350,13 @@ class TestGalois:
 
 
 class TestConceptIndex:
-    """The set-indexed listing and the one-product order match the list scan
-    and the pairwise comparison they replaced."""
+    """The bitset listing, the product intents, the row-lookup reduced labels
+    and the one-product order match the list scan, the per-concept
+    derivations and the pairwise comparison they replaced, down to contexts
+    with no objects or no attributes."""
 
     @settings(max_examples=150, **COMMON)
-    @given(st.integers(1, 9), st.integers(1, 7), st.data())
+    @given(st.integers(0, 9), st.integers(0, 7), st.data())
     def test_listing_and_order_match_the_scans(self, no, na, data):
         inc = data.draw(
             st.lists(
@@ -332,11 +365,24 @@ class TestConceptIndex:
                 max_size=no,
             )
         )
+        inc = np.array(inc, dtype=bool).reshape(no, na)
         objs = [f"o{i}" for i in range(no)]
-        ctx = FormalContext(objs, [f"m{j}" for j in range(na)], inc)
+        atts = [f"m{j}" for j in range(na)]
+        ctx = FormalContext(objs, atts, inc)
         cs = concepts(ctx)
         extents = oracles.concept_extents(inc)
         assert [c.extent for c in cs] == [frozenset(objs[g] for g in e) for e in extents]
+        labels = [
+            (
+                frozenset(atts[m] for m in intent),
+                tuple(objs[g] for g in reduced_objects),
+                tuple(atts[m] for m in reduced_attributes),
+            )
+            for intent, reduced_objects, reduced_attributes in oracles.concept_labels(
+                inc, extents
+            )
+        ]
+        assert [(c.intent, c.reduced_objects, c.reduced_attributes) for c in cs] == labels
         co = concept_order(cs)
         assert (co.matrix == oracles.concept_order(extents)).all()
         for c in cs:
