@@ -126,22 +126,19 @@ def _pair_congruence(t, images, a, b):
     return _canonical([find(i) for i in range(len(t))])
 
 
-def find_congruences(sg, unique=True):
+def find_congruences(sg):
     """Congruences found by collapsing each pair of elements in turn.
 
     Every unordered pair of distinct elements seeds a search that alternates
     closure under the translations with merging of classes the quotient
-    table can no longer tell apart, until stable. Results are sorted finest
-    first (more classes first, ties by class vector).
+    table can no longer tell apart, until stable. Each distinct congruence
+    appears once, finest first (more classes first, ties by class vector).
     """
     t, maps = _translations(sg)
     images = maps.T.tolist()
     n = len(t)
-    found = [_pair_congruence(t, images, a, b) for a in range(n) for b in range(a + 1, n)]
-    if unique:
-        found = list(dict.fromkeys(found))
-    found.sort(key=lambda v: (-max(v), v))
-    return [Congruence(sg.st, v) for v in found]
+    found = {_pair_congruence(t, images, a, b) for a in range(n) for b in range(a + 1, n)}
+    return [Congruence(sg.st, v) for v in sorted(found, key=lambda v: (-max(v), v))]
 
 
 def _first_members(t, vector):

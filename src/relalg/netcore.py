@@ -222,9 +222,11 @@ def permute(matrix, clustering):
 # JSON interchange
 
 def string_list(value, what):
-    """value itself, if it is a list of strings."""
+    """value itself, if it is a list of distinct strings."""
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise ValidationError(f"{what} must be a list of strings")
+    if len(set(value)) != len(value):
+        raise ValidationError(f"{what} must not repeat a label")
     return value
 
 

@@ -199,12 +199,11 @@ def semigroup_from_dict(data):
         st, table = data["st"], data["table"]
     except (KeyError, TypeError) as exc:
         raise ValidationError('semigroup JSON needs "st" and "table"') from exc
-    n = len(st) if isinstance(st, list) else -1
+    n = len(string_list(st, 'semigroup "st"'))
     if not isinstance(table, list) or len(table) != n or any(
         not isinstance(row, list) or len(row) != n for row in table
     ):
         raise ValidationError('semigroup "table" must be square over the "st" list')
-    st = [str(x) for x in st]
     pos = {lbl: i + 1 for i, lbl in enumerate(st)}
     cells = [cell for row in table for cell in row]
     for cell in cells:

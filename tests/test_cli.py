@@ -117,6 +117,7 @@ class TestCensus:
         r = runner.invoke(main, ["census", "--stats", files["ncc"]])
         assert r.exit_code == 3
         assert "statistic undefined: strong bond" in r.output
+        assert r.stdout == ""
 
     def test_missing_file(self, runner, files):
         r = runner.invoke(main, ["census", files["dir"] + "/nowhere.json"])
@@ -264,6 +265,7 @@ class TestDecomp:
     def test_mca_needs_a_poset(self, runner, sg_file):
         r = runner.invoke(main, ["decomp", sg_file, "--mode", "mca"])
         assert r.exit_code == 2
+        assert r.stdout == ""
 
     def test_mca_rejects_a_poset_that_is_no_partial_order(self, tmp_path):
         sg = tmp_path / "sg.json"
@@ -275,6 +277,7 @@ class TestDecomp:
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("error: not a poset")
         assert len(r.stderr.splitlines()) == 1
+        assert r.stdout == ""
 
 
 class TestSigned:
@@ -455,6 +458,8 @@ MALFORMED = {
     ),
     "poset-labels-string": ("dot hasse", {"labels": "ab", "matrix": [[1, 0], [0, 1]]}),
     "poset-ragged": ("dot hasse", {"labels": ["a", "b"], "matrix": [[1], [0, 1]]}),
+    "poset-labels-repeated": ("dot hasse", {"labels": ["a", "a"], "matrix": [[1, 0], [0, 1]]}),
+    "table-st-repeated": ("decomp", {"st": ["a", "a"], "table": [[1, 2], [2, 1]]}),
     "context-objects-string": (
         "galois", {"objects": "ab", "attributes": ["x"], "incidence": [[1], [0]]}
     ),
@@ -477,6 +482,45 @@ def test_malformed_json_exits_2_without_traceback(case, tmp_path):
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("error: ")
+
+
+def put_bytes(path, data):
+    path.write_bytes(data)
+    return str(path)
+
+
+# Input files that are no UTF-8, and --out paths in a directory that does not exist.
+FILE_FAULTS = {
+    "json-not-utf8": lambda files, tmp: [
+        "census", put_bytes(tmp / "in.json", b'{"actors": ["\xff"], "relations": []}')
+    ],
+    "csv-not-utf8": lambda files, tmp: ["galois", put_bytes(tmp / "in.csv", b",x\n\xff,1\n")],
+    "dot-out-unwritable": lambda files, tmp: [
+        "dot", "hasse", files["po"], "--out", str(tmp / "no" / "h.dot")
+    ],
+    "semigroup-out-unwritable": lambda files, tmp: [
+        "semigroup", files["netcs"], "--out", str(tmp / "no" / "sg.json")
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_FAULTS))
+def test_read_and_write_failures_exit_2_without_traceback(case, files, tmp_path):
+    r = run_process(*FILE_FAULTS[case](files, tmp_path))
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: cannot ")
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_help_is_eager(runner, tmp_path, command):
+    """--help wins over file arguments that load, even unreadable ones."""
+    for args in ([command, "--help"], [command, str(tmp_path / "missing.json"), "--help"]):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 0, r.output
+        assert r.stdout.startswith("Usage: ")
 
 
 JSON = st.recursive(
