@@ -14,7 +14,7 @@ import io
 import numpy as np
 
 from .errors import ValidationError
-from .netcore import bool_product, bool_rows, containment, string_list
+from .netcore import _check_labels, bool_product, bool_rows, containment, string_list
 from .semigroup import Poset
 
 
@@ -22,12 +22,8 @@ class FormalContext:
     """Objects x attributes with a boolean incidence table."""
 
     def __init__(self, objects, attributes, incidence):
-        self.objects = tuple(str(g) for g in objects)
-        self.attributes = tuple(str(m) for m in attributes)
-        if len(set(self.objects)) != len(self.objects):
-            raise ValidationError("object labels must be unique")
-        if len(set(self.attributes)) != len(self.attributes):
-            raise ValidationError("attribute labels must be unique")
+        self.objects = _check_labels(objects, "object")
+        self.attributes = _check_labels(attributes, "attribute")
         arr = np.asarray(incidence, dtype=bool)
         if arr.shape != (len(self.objects), len(self.attributes)):
             raise ValidationError("incidence shape must be objects x attributes")

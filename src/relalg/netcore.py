@@ -17,10 +17,10 @@ def _freeze(cells):
     return arr
 
 
-def _check_labels(labels):
+def _check_labels(labels, what="actor"):
     labels = tuple(str(x) for x in labels)
     if len(set(labels)) != len(labels):
-        raise ValidationError("actor labels must be unique")
+        raise ValidationError(f"{what} labels must be unique")
     return labels
 
 

@@ -39,12 +39,9 @@ class RelationBox:
 
 def build_relation_box(net, k=3, include_transposes=False):
     """Stack the images of all words of length 1..k, duplicates included."""
-    labels = []
-    mats = []
-    for word, img in _words(net, k, include_transposes):
-        labels.append("".join(word))
-        mats.append(img)
-    return RelationBox(net.actors, labels, mats, k)
+    images, words = _words(net, k, include_transposes)
+    labels = [word for word, _ in words]
+    return RelationBox(net.actors, labels, [images[i] for _, i in words], k)
 
 
 def _ego_order(profile):

@@ -10,7 +10,9 @@ The representatives form a word tree: each word is a letter or a shorter
 representative followed by one letter. The closure keeps ``right[i, a]``,
 the index of element i times letter a (the right Cayley graph of Froidure
 and Pin), and the table follows from it column by column, since x(pa) =
-(xp)a. No product of two elements is ever formed.
+(xp)a. No product of two elements is ever formed. Word equations and
+relation boxes read a word's element off the closure's first k levels as
+its prefix's element times its last letter: only the closure multiplies.
 """
 
 import os
@@ -18,7 +20,9 @@ import os
 import numpy as np
 
 from .errors import ClosureTooLargeError, ValidationError
-from .netcore import bool_product, bool_rows, containment, permutation_order, string_list
+from .netcore import (
+    _check_labels, bool_product, bool_rows, containment, permutation_order, string_list,
+)
 
 DEFAULT_MAX_CLOSURE = 100_000
 
@@ -28,13 +32,6 @@ def _closure_cap(max_elements):
         return int(max_elements)
     env = os.environ.get("RELALG_MAX_CLOSURE")
     return int(env) if env else DEFAULT_MAX_CLOSURE
-
-
-def _alphabet(net, include_transposes):
-    letters = [(s.name, np.asarray(s.cells, dtype=bool)) for s in net.slices]
-    if include_transposes:
-        letters += [("t" + s.name, np.asarray(s.cells.T, dtype=bool)) for s in net.slices]
-    return letters
 
 
 class StringSet:
@@ -64,8 +61,17 @@ def generate_strings(net, include_transposes=False, max_elements=None):
     right-multiplies every known representative by every generator. A word
     becomes a representative iff its image matrix was not seen before.
     """
-    cap = _closure_cap(max_elements)
-    letters = _alphabet(net, include_transposes)
+    return _closure(net, include_transposes, _closure_cap(max_elements))
+
+
+def _closure(net, include_transposes, cap, depth=None):
+    """The closure, expanding only elements whose word is shorter than depth.
+
+    Images are read-only, so words mapped to one element may share its array.
+    """
+    letters = [(s.name, s.cells) for s in net.slices]
+    if include_transposes:
+        letters += [("t" + s.name, s.cells.T) for s in net.slices]
     words = []
     images = []
     seen = {}
@@ -79,7 +85,7 @@ def generate_strings(net, include_transposes=False, max_elements=None):
         gen_elements.append((name, seen[key]))
     frontier = list(range(len(words)))
     right = []                                   # row i is filled when i is expanded
-    while frontier:
+    while frontier and (depth is None or len(words[frontier[0]]) < depth):
         nxt = []
         for i in frontier:
             row = []
@@ -92,6 +98,7 @@ def generate_strings(net, include_transposes=False, max_elements=None):
                     seen[key] = len(words)
                     nxt.append(len(words))
                     words.append(words[i] + (name,))
+                    img.setflags(write=False)
                     images.append(img)
                 row.append(seen[key])
             right.append(row)
@@ -108,17 +115,14 @@ class Semigroup:
     0-based index table.
     """
 
-    def __init__(self, strings, table_idx, fmt):
-        self.strings = strings
+    def __init__(self, st, generators, table_idx, fmt):
+        self.st = tuple(st)
+        self._generators = tuple(generators)     # (letter, 0-based element index)
         self._idx = np.asarray(table_idx, dtype=int)
         self._idx.setflags(write=False)
         if fmt not in ("numerical", "symbolic"):
             raise ValidationError(f"unknown table format {fmt!r}")
         self.format = fmt
-
-    @property
-    def st(self):
-        return self.strings.st
 
     @property
     def order(self):
@@ -140,7 +144,7 @@ class Semigroup:
 
     def generator_elements(self):
         """(letter, 0-based element index) for each generator letter."""
-        return list(self.strings.generator_elements)
+        return list(self._generators)
 
     def to_dict(self):
         return {
@@ -186,7 +190,7 @@ def build_semigroup(strings, fmt="numerical"):
     if len(reached) < n + 2:
         missing = strings.st[min(set(range(n)) - reached)]
         raise ValidationError(f"{missing} is not a product of letters; not a closed StringSet")
-    return Semigroup(strings, idx, fmt)
+    return Semigroup(strings.st, strings.generator_elements, idx, fmt)
 
 
 def semigroup_from_dict(data):
@@ -218,11 +222,8 @@ def semigroup_from_dict(data):
         isinstance(g, list) and len(g) == 2 and _is_index(g[1], n) for g in gens
     ):
         raise ValidationError(f'"generators" must list [letter, index in 1..{n}] pairs')
-    gens = [(str(lbl), i - 1) for lbl, i in gens]
-    alphabet = [lbl for lbl, _ in gens]
-    words = [(lbl,) for lbl in st]
-    strings = StringSet([], alphabet, words, [None] * n, gens or None)
-    return Semigroup(strings, idx, fmt)
+    string_list([lbl for lbl, _ in gens], '"generators" letters')
+    return Semigroup(st, [(lbl, i - 1) for lbl, i in gens], idx, fmt)
 
 
 def _is_index(cell, n):
@@ -230,29 +231,29 @@ def _is_index(cell, n):
 
 
 def _words(net, k, include_transposes):
-    """(word, image) for every word of length 1..k, by length, then letter.
+    """The images of the closure's first k levels, and (word, element) for
+    every word of length 1..k, by length, then letter.
 
     Raises ClosureTooLargeError before any product when the number of words
-    exceeds the closure cap.
+    exceeds the closure cap. A word's element is the right translation of
+    its prefix's element by its last letter, so no word takes a product.
     """
     if k < 1:
         raise ValidationError("k must be at least 1")
-    letters = _alphabet(net, include_transposes)
+    nletters = len(net.slices) * (2 if include_transposes else 1)
     cap = _closure_cap(None)
     total = 0
     for d in range(1, k + 1):
-        total += len(letters) ** d
+        total += nletters ** d
         if total > cap:
             raise ClosureTooLargeError(total, cap)
-    level = [((name,), cells) for name, cells in letters]
-    for depth in range(k):
-        if depth:
-            level = [
-                (word + (name,), bool_product(img, cells))
-                for word, img in level
-                for name, cells in letters
-            ]
-        yield from level
+    strings = _closure(net, include_transposes, cap, k)
+    right = strings.right.tolist()
+    words = list(strings.generator_elements)
+    for j in range(total - nletters ** k):       # each word shorter than k, in order
+        word, i = words[j]
+        words += [(word + name, right[i][a]) for a, name in enumerate(strings.alphabet)]
+    return strings.images, words
 
 
 def equations(net, k, include_transposes=False):
@@ -262,8 +263,8 @@ def equations(net, k, include_transposes=False):
     the enumeration order is the lexicographically first shortest one).
     """
     groups = {}
-    for word, img in _words(net, k, include_transposes):
-        groups.setdefault(img.tobytes(), []).append("".join(word))
+    for word, i in _words(net, k, include_transposes)[1]:
+        groups.setdefault(i, []).append(word)
     return {
         members[0]: members for members in groups.values() if len(members) > 1
     }
@@ -273,7 +274,7 @@ class Poset:
     """Labels with a boolean order matrix; M[i][j] = 1 iff i <= j."""
 
     def __init__(self, labels, matrix):
-        self.labels = tuple(str(x) for x in labels)
+        self.labels = _check_labels(labels, "element")
         self.matrix = np.asarray(matrix, dtype=bool)
         self.matrix.setflags(write=False)
         n = len(self.labels)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComputationError, NonConvergenceError, ValidationError
-from .netcore import connected_components
+from .netcore import _check_labels, connected_components
 
 VALENCES = ("p", "o", "n", "a", "q")
 _CODE = {v: i for i, v in enumerate(VALENCES)}
@@ -45,7 +45,7 @@ class SignedMatrix:
     """Actor-by-actor valence letters plus the ordered set of letters used."""
 
     def __init__(self, actors, cells):
-        self.actors = tuple(str(a) for a in actors)
+        self.actors = _check_labels(actors)
         arr = np.array(cells, dtype="<U1")
         n = len(self.actors)
         if arr.shape != (n, n):

@@ -151,6 +151,20 @@ def string_closure(letters):
     return st, gens
 
 
+def word_images(letters, k):
+    """(word, image) for every word of length 1..k, by length, then letter:
+    every word of one length times every letter, one product each."""
+    level = [((name,), cells) for name, cells in letters]
+    for depth in range(k):
+        if depth:
+            level = [
+                (word + (name,), img @ cells)
+                for word, img in level
+                for name, cells in letters
+            ]
+        yield from level
+
+
 def semigroup_table(images):
     """0-based index table: each product's image looked up among the images."""
     by_key = {img.tobytes(): i for i, img in enumerate(images)}

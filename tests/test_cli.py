@@ -460,6 +460,13 @@ MALFORMED = {
     "poset-ragged": ("dot hasse", {"labels": ["a", "b"], "matrix": [[1], [0, 1]]}),
     "poset-labels-repeated": ("dot hasse", {"labels": ["a", "a"], "matrix": [[1, 0], [0, 1]]}),
     "table-st-repeated": ("decomp", {"st": ["a", "a"], "table": [[1, 2], [2, 1]]}),
+    "generator-letters-repeated": (
+        "dot cayley",
+        {"st": ["a", "b"], "table": [[1, 2], [2, 1]], "generators": [["a", 1], ["a", 2]]},
+    ),
+    "generator-letter-integer": (
+        "dot cayley", {"st": ["a", "b"], "table": [[1, 2], [2, 1]], "generators": [[7, 1]]}
+    ),
     "context-objects-string": (
         "galois", {"objects": "ab", "attributes": ["x"], "incidence": [[1], [0]]}
     ),

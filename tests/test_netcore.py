@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 
 from relalg import (
+    ConceptOrder,
     DimensionError,
+    FormalContext,
     MultiplexNetwork,
+    Poset,
     RelationMatrix,
+    SignedMatrix,
     ValidationError,
     build_relation_box,
     components,
     compose,
+    concepts,
     generate_strings,
     network_from_dict,
     network_to_dict,
@@ -91,6 +96,21 @@ class TestCompose:
         assert t.name == "tC"
         assert t.ties() == [("b", "a")]
         assert transpose(t) == m
+
+
+REPEATED_LABELS = {
+    "poset": lambda: Poset(["a", "a"], np.eye(2, dtype=bool)),
+    "signed-matrix": lambda: SignedMatrix(["x", "x"], [["o", "p"], ["n", "o"]]),
+    "concept-order": lambda: ConceptOrder(
+        concepts(FormalContext(["g", "h"], ["m"], [[1], [0]])), labels=["c", "c"]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_LABELS))
+def test_repeated_labels_rejected(case):
+    with pytest.raises(ValidationError, match="labels must be unique"):
+        REPEATED_LABELS[case]()
 
 
 class TestNetwork:

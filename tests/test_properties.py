@@ -22,6 +22,7 @@ from relalg import (
     concepts,
     cumulated_hierarchy,
     derive,
+    equations,
     extent,
     factorize,
     find_congruences,
@@ -305,6 +306,34 @@ class TestTableAndOrder:
         )
         want = oracles.semigroup_table(shuffled.images).tolist()
         assert build_semigroup(shuffled).index_table() == want
+
+
+class TestWordWalk:
+    """Equations and relation boxes read off the closure's first k levels
+    match multiplying every word out."""
+
+    @settings(max_examples=150, **COMMON)
+    @given(
+        network(max_n=5, max_slices=3), st.booleans(), st.booleans(), st.integers(1, 4)
+    )
+    def test_match_per_word_products(self, net, transposes, duplicate, k):
+        if duplicate:
+            copy = RelationMatrix("Z", net.actors, net.slices[0].cells)
+            net = MultiplexNetwork(net.actors, [*net.slices, copy])
+        letters = [(s.name, s.cells) for s in net.slices]
+        if transposes:
+            letters += [("t" + s.name, s.cells.T) for s in net.slices]
+        words = [("".join(word), img) for word, img in oracles.word_images(letters, k)]
+        groups = {}
+        for word, img in words:
+            groups.setdefault(img.tobytes(), []).append(word)
+        want = [(members[0], members) for members in groups.values() if len(members) > 1]
+        assert list(equations(net, k, transposes).items()) == want
+        box = build_relation_box(net, k, transposes)
+        assert box.word_labels == tuple(word for word, _ in words)
+        assert len(box.slices) == len(words)
+        for got, (_, img) in zip(box.slices, words):
+            assert (got == img).all()
 
 
 class TestGalois:

@@ -18,6 +18,7 @@ from relalg import (
     semigroup_from_dict,
     string_partial_order,
 )
+from relalg import semigroup
 from relalg.semigroup import StringSet
 
 
@@ -193,6 +194,19 @@ class TestEquations:
         assert err.value.cap == 11
         monkeypatch.setenv("RELALG_MAX_CLOSURE", "12")
         assert equations(ncc, 2)
+
+    def test_words_take_no_products(self, ncc, monkeypatch):
+        # only the closure multiplies: 3 letters times the 16 elements shorter than 6
+        calls = []
+        product = semigroup.bool_product
+
+        def counted(a, b):
+            calls.append(1)
+            return product(a, b)
+
+        monkeypatch.setattr(semigroup, "bool_product", counted)
+        equations(ncc, 6)
+        assert 0 < len(calls) <= 48
 
 
 class TestPartialOrder:
