@@ -4,6 +4,10 @@ A relation is a square boolean matrix over an ordered actor set; a multiplex
 network is a stack of such matrices sharing one actor set. Everything is
 treated as immutable after construction and every operation returns new
 values, so results can be shared freely across threads.
+
+Every boolean product in the package goes through bool_product, an exact
+bitset product: rows packed into 64-bit words, combined with AND and OR
+only, on one thread and without BLAS.
 """
 
 import numpy as np
@@ -119,9 +123,50 @@ def compose(a, b):
     return RelationMatrix(a.name + b.name, a.actors, bool_product(a.cells, b.cells))
 
 
+# Below this size in any dimension numpy's bool @ is the faster product.
+_SMALL = 32
+# uint64 words in the bitset product's accumulator, and again in its scratch,
+# so that the two together stay at 1 MiB.
+_BLOCK_WORDS = 1 << 16
+
+
+def _pack(x):
+    """Row w holds word w of the bitset of every row of x (uint64, zero-padded)."""
+    bits = np.packbits(x, axis=1)
+    words = np.zeros((len(bits), -(-bits.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, :bits.shape[1]] = bits
+    return np.ascontiguousarray(words.view(np.uint64).T)
+
+
 def bool_product(a, b):
-    """Boolean matrix product; numpy multiplies bools with or/and, so it never wraps."""
-    return np.asarray(a, dtype=bool) @ np.asarray(b, dtype=bool)
+    """Boolean matrix product: (i, j) is set iff some k has a(i, k) and b(k, j).
+
+    At _SMALL or more in every dimension, the rows of a and the columns of b
+    are packed into 64-bit words, and each block of rows ORs together the ANDs
+    of their words. Only AND and OR are used, so the result is exact at any
+    size; there is no float step and no BLAS call.
+    """
+    a = np.asarray(a, dtype=bool)
+    b = np.asarray(b, dtype=bool)
+    (m, k), (k2, n) = a.shape, b.shape
+    if k != k2:
+        raise ValueError(f"bool_product: inner dimensions {k} and {k2} differ")
+    if min(m, k, n) < _SMALL:
+        return a @ b
+    aw, bw = _pack(a), _pack(b.T)
+    out = np.empty((m, n), dtype=bool)
+    rows = max(1, _BLOCK_WORDS // n)
+    acc = np.empty((min(rows, m), n), dtype=np.uint64)
+    tmp = np.empty_like(acc)
+    for start in range(0, m, rows):
+        r = min(rows, m - start)
+        acc_r, tmp_r = acc[:r], tmp[:r]
+        np.bitwise_and(aw[0, start:start + r, None], bw[0], out=acc_r)
+        for w in range(1, len(aw)):
+            np.bitwise_and(aw[w, start:start + r, None], bw[w], out=tmp_r)
+            acc_r |= tmp_r
+        np.not_equal(acc_r, 0, out=out[start:start + r])
+    return out
 
 
 def containment(x):

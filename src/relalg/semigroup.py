@@ -71,6 +71,12 @@ def _closure(net, include_transposes, cap, depth=None):
     """
     letters = [(s.name, s.cells) for s in net.slices]
     if include_transposes:
+        taken = sorted(set(net.slice_names) & {"t" + name for name in net.slice_names})
+        if taken:
+            raise ValidationError(
+                f"slice {taken[0]!r} is named like the transpose of slice "
+                f"{taken[0][1:]!r}; rename it to use transposes"
+            )
         letters += [("t" + s.name, s.cells.T) for s in net.slices]
     words = []
     images = []

@@ -25,6 +25,11 @@ def compose_sets(n, a, b):
     return out
 
 
+def witness_product(a, b):
+    """Boolean matrix product: (i, j) is set iff its int64 witness count is positive."""
+    return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) > 0
+
+
 def transitive_closure(n, rel):
     """Reflexive-transitive closure of a relation given as a pair set."""
     closed = set(rel) | {(i, i) for i in range(n)}

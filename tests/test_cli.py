@@ -521,6 +521,24 @@ def test_read_and_write_failures_exit_2_without_traceback(case, files, tmp_path)
     assert r.stdout == ""
 
 
+# Slice "tA" has the name that --transposes gives the transpose of slice "A".
+TRANSPOSE_CLASH = {"actors": ["x", "y"], "relations": [
+    {"name": "A", "ties": [["x", "y"]]}, {"name": "tA", "ties": [["x", "x"]]},
+]}
+
+
+@pytest.mark.parametrize("command", ["semigroup", "equations", "order", "rbox", "cph"])
+def test_slice_named_like_a_transpose_exits_2(command, tmp_path):
+    p = tmp_path / "clash.json"
+    p.write_text(json.dumps(TRANSPOSE_CLASH))
+    r = run_process(command, str(p), "--transposes")
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: slice 'tA' is named like the transpose")
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stdout == ""
+
+
 @pytest.mark.parametrize("command", sorted(main.commands))
 def test_help_is_eager(runner, tmp_path, command):
     """--help wins over file arguments that load, even unreadable ones."""

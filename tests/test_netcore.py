@@ -68,9 +68,10 @@ class TestCompose:
         assert cf.ties() == [("1", "3")]
         assert compose(f, c).ties() == []
 
-    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("n", [31, 32, 256, 512])
     def test_witness_count_does_not_wrap(self, n):
-        # cell (0, 0) of AB has n witnesses, a multiple of 256
+        # cell (0, 0) of AB has n witnesses: 256 and 512 wrap a uint8 count,
+        # 31 and 32 sit on either side of the bitset product's threshold
         actors = [f"a{i}" for i in range(n)]
         a = np.zeros((n, n), dtype=bool)
         a[0] = True

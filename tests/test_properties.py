@@ -36,6 +36,7 @@ from relalg import (
     transitive_closure,
 )
 from relalg.bundles import bundle_census, relational_system
+from relalg.netcore import _BLOCK_WORDS, bool_product, containment
 from relalg.semigroup import StringSet
 from relalg.decomp import _translations
 from relalg.dot import hasse_dot
@@ -104,6 +105,44 @@ class TestComposition:
         n, a, b = args
         got = pairs_of(compose(a, b).cells)
         assert got == oracles.compose_sets(n, pairs_of(a.cells), pairs_of(b.cells))
+
+
+@st.composite
+def bool_operands(draw):
+    """Operands whose every dimension is drawn around the bitset threshold
+    (32) and the 64-bit word, with densities from all-false to all-true."""
+    m, n = (draw(st.sampled_from([0, 1, 31, 32, 33, 70])) for _ in range(2))
+    k = draw(st.sampled_from([0, 1, 31, 32, 33, 63, 64, 65, 128]))
+    density = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random((m, k)) < density, rng.random((k, n)) < density
+
+
+class TestBoolProduct:
+    @settings(max_examples=200, **COMMON)
+    @given(bool_operands())
+    def test_matches_witness_count(self, operands):
+        a, b = operands
+        got = bool_product(a, b)
+        assert got.dtype == bool
+        assert np.array_equal(got, oracles.witness_product(a, b))
+
+    @settings(**COMMON)
+    @given(bool_operands())
+    def test_non_contiguous_operands(self, operands):
+        x, _ = operands
+        # containment passes ~x.T, a Fortran-order view
+        assert np.array_equal(bool_product(x, ~x.T), oracles.witness_product(x, ~x.T))
+        assert np.array_equal(containment(x), ~oracles.witness_product(x, ~x.T))
+        y = x[::-1, ::2]
+        assert np.array_equal(bool_product(y, y.T), oracles.witness_product(y, y.T))
+
+    def test_output_taller_than_one_block(self):
+        n = 40
+        m = 2 * (_BLOCK_WORDS // n) + 3
+        rng = np.random.default_rng(0)
+        a, b = rng.random((m, 65)) < 0.03, rng.random((65, n)) < 0.03
+        assert np.array_equal(bool_product(a, b), oracles.witness_product(a, b))
 
 
 class TestCensus:

@@ -58,6 +58,19 @@ class TestGenerateStrings:
         assert st.alphabet == ("C", "F", "K", "tC", "tF", "tK")
         assert "tC" in st.st
 
+    def test_slice_named_like_a_transpose_rejected(self):
+        actors = ["x", "y"]
+        net = MultiplexNetwork(actors, [
+            RelationMatrix.from_ties("A", actors, [("x", "y")]),
+            RelationMatrix.from_ties("tA", actors, [("x", "x")]),
+        ])
+        assert generate_strings(net).st == ("A", "tA", "AA")
+        clash = "slice 'tA' is named like the transpose of slice 'A'"
+        with pytest.raises(ValidationError, match=clash):
+            generate_strings(net, include_transposes=True)
+        with pytest.raises(ValidationError, match=clash):
+            equations(net, 2, include_transposes=True)
+
     def test_cap_raises(self, ncc):
         with pytest.raises(ClosureTooLargeError) as err:
             generate_strings(ncc, max_elements=5)
