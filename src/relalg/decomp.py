@@ -13,7 +13,12 @@ product of the generators, so closing under x -> xg and x -> gx for each
 generator g closes under every element: a table that carries its
 "generators" is closed under 2|A| translations. Without them, or when they
 do not generate the table, every element serves as a generator; the result
-is the same, only slower.
+is the same, only slower. The same generators check that the table is
+associative, which both searches assume.
+
+`factorize` closes all its seed pairs at once: each seed is one matrix of
+a stack of relations, grown by its translates and closed transitively with
+the rest of its block.
 """
 
 from dataclasses import dataclass
@@ -24,6 +29,9 @@ import numpy as np
 from .errors import ValidationError
 from .netcore import containment
 from .semigroup import Poset, transitive_closure
+
+# Cells in one block of seeds that factorize closes together.
+_BLOCK_CELLS = 1 << 20
 
 
 def _canonical(assign):
@@ -68,7 +76,9 @@ def _translations(sg):
     """Right maps x -> xg, then left maps x -> gx, one row per generator g.
 
     The generators are the table's own when they generate it, else every
-    element.
+    element. Light's test checks over them that the table is associative:
+    (xg)y = x(gy) for every generator g gives it for every element, since
+    the elements that pass are closed under products.
     """
     n = sg.order
     t = _table(sg)
@@ -82,6 +92,13 @@ def _translations(sg):
         reached[frontier] = True
     if not reached.all():
         gens = list(range(n))
+    for g in gens:
+        bad = np.argwhere(t[t[:, g]] != t[:, t[g]])
+        if bad.size:
+            x, y = (sg.st[i] for i in bad[0])
+            raise ValidationError(
+                f"table is not associative: ({x} {sg.st[g]}) {y} != {x} ({sg.st[g]} {y})"
+            )
     return t, np.concatenate([t[:, gens].T, t[gens, :]])
 
 
@@ -192,22 +209,24 @@ class PiRelation:
 
 
 def _pi_close(maps, closed, pairs):
-    """Smallest compatible quasi-order containing a closed one plus some pairs.
+    """Smallest compatible quasi-orders containing closed ones plus some pairs.
 
-    `closed` is a quasi-order already closed under the translations; `pairs`
-    holds flat cell indices x * n + y. Their translates are added breadth
-    first. Transitive closure keeps a relation closed under the translations
+    `closed` is a stack of quasi-orders already closed under the translations;
+    `pairs` holds flat cell indices s * n * n + x * n + y, cell (x, y) of
+    matrix s. Their translates are added breadth first, within each matrix.
+    Transitive closure keeps a relation closed under the translations
     (a <= b <= c gives ag <= bg <= cg), so one pass of each reaches the
     fixpoint.
     """
-    n = len(closed)
+    n = closed.shape[-1]
     m = closed.copy()
     flat = m.reshape(-1)
     while pairs.size:
         flat[pairs] = True
-        rows, cols = np.divmod(pairs, n)
-        step = np.unique(maps[:, rows] * n + maps[:, cols])
-        pairs = step[~flat[step]]
+        mats, cells = np.divmod(pairs, n * n)
+        rows, cols = np.divmod(cells, n)
+        step = (mats * (n * n) + maps[:, rows] * n + maps[:, cols]).reshape(-1)
+        pairs = np.unique(step[~flat[step]])
     return transitive_closure(m)
 
 
@@ -255,7 +274,8 @@ def factorize(sg, po):
     For each ordered pair not already comparable, the pair is adjoined and
     closed; the distinct results, together with the order itself, form the
     lattice searched for atoms and their complements. The element order must
-    be a partial order.
+    be a partial order. The seeds are closed together, as blocks of one stack
+    of relations of at most _BLOCK_CELLS cells each.
     """
     if tuple(po.labels) != tuple(sg.st):
         raise ValidationError("order and table must share their element labels")
@@ -263,18 +283,20 @@ def factorize(sg, po):
     t, maps = _translations(sg)
     n = len(t)
     base = np.asarray(po.matrix, dtype=bool)
-    closed = _pi_close(maps, np.eye(n, dtype=bool), np.flatnonzero(base))
+    closed = _pi_close(maps, np.eye(n, dtype=bool)[None], np.flatnonzero(base))
     members = [PiRelation(sg.st, base, seed=None)]
     seen = {base.tobytes()}
-    for x in range(n):
-        for y in range(n):
-            if x == y or base[x, y]:
-                continue
-            q = _pi_close(maps, closed, np.array([x * n + y]))
+    xs, ys = np.nonzero(~base)
+    block = max(1, _BLOCK_CELLS // (n * n))
+    for start in range(0, len(xs), block):
+        x, y = xs[start:start + block], ys[start:start + block]
+        seeds = np.arange(len(x)) * (n * n) + x * n + y
+        for i, q in enumerate(_pi_close(maps, np.repeat(closed, len(x), axis=0), seeds)):
             key = q.tobytes()
             if key not in seen:
                 seen.add(key)
-                members.append(PiRelation(sg.st, q, seed=(sg.st[x], sg.st[y])))
+                # a copy, so that a member does not keep its whole block alive
+                members.append(PiRelation(sg.st, q.copy(), seed=(sg.st[x[i]], sg.st[y[i]])))
     return PiLattice(sg.st, base, members)
 
 

@@ -7,7 +7,8 @@ values, so results can be shared freely across threads.
 
 Every boolean product in the package goes through bool_product, an exact
 bitset product: rows packed into 64-bit words, combined with AND and OR
-only, on one thread and without BLAS.
+only, on one thread and without BLAS. It multiplies two matrices, or two
+stacks of matrices matrix by matrix.
 """
 
 import numpy as np
@@ -131,41 +132,52 @@ _BLOCK_WORDS = 1 << 16
 
 
 def _pack(x):
-    """Row w holds word w of the bitset of every row of x (uint64, zero-padded)."""
-    bits = np.packbits(x, axis=1)
-    words = np.zeros((len(bits), -(-bits.shape[1] // 8) * 8), dtype=np.uint8)
-    words[:, :bits.shape[1]] = bits
-    return np.ascontiguousarray(words.view(np.uint64).T)
+    """[s, w, r] holds word w of the bitset of row r of matrix s (uint64, zero-padded)."""
+    s, rows, k = x.shape
+    padded = np.zeros((s, rows, -(-k // 64) * 64), dtype=bool)
+    padded[..., :k] = x
+    words = np.packbits(padded).view(np.uint64).reshape(s, rows, padded.shape[-1] // 64)
+    return np.ascontiguousarray(words.swapaxes(1, 2))
 
 
 def bool_product(a, b):
     """Boolean matrix product: (i, j) is set iff some k has a(i, k) and b(k, j).
 
-    At _SMALL or more in every dimension, the rows of a and the columns of b
-    are packed into 64-bit words, and each block of rows ORs together the ANDs
+    a and b are two matrices, or two stacks of as many matrices, multiplied
+    matrix by matrix. At _SMALL or more in every dimension, the rows of a and
+    the columns of b are packed into 64-bit words, and each block (of whole
+    matrices, or of rows when one matrix is too large) ORs together the ANDs
     of their words. Only AND and OR are used, so the result is exact at any
     size; there is no float step and no BLAS call.
     """
     a = np.asarray(a, dtype=bool)
     b = np.asarray(b, dtype=bool)
-    (m, k), (k2, n) = a.shape, b.shape
+    if a.ndim != b.ndim or a.ndim not in (2, 3) or a.shape[:-2] != b.shape[:-2]:
+        raise ValueError(f"bool_product: operands {a.shape} and {b.shape} do not pair up")
+    (m, k), (k2, n) = a.shape[-2:], b.shape[-2:]
     if k != k2:
         raise ValueError(f"bool_product: inner dimensions {k} and {k2} differ")
     if min(m, k, n) < _SMALL:
         return a @ b
-    aw, bw = _pack(a), _pack(b.T)
-    out = np.empty((m, n), dtype=bool)
+    if a.ndim == 2:
+        return bool_product(a[None], b[None])[0]
+    s = len(a)
+    aw, bw = _pack(a), _pack(b.swapaxes(1, 2))
+    out = np.empty((s, m, n), dtype=bool)
+    mats = max(1, _BLOCK_WORDS // (m * n))
     rows = max(1, _BLOCK_WORDS // n)
-    acc = np.empty((min(rows, m), n), dtype=np.uint64)
+    acc = np.empty((min(mats, s), min(rows, m), n), dtype=np.uint64)
     tmp = np.empty_like(acc)
-    for start in range(0, m, rows):
-        r = min(rows, m - start)
-        acc_r, tmp_r = acc[:r], tmp[:r]
-        np.bitwise_and(aw[0, start:start + r, None], bw[0], out=acc_r)
-        for w in range(1, len(aw)):
-            np.bitwise_and(aw[w, start:start + r, None], bw[w], out=tmp_r)
-            acc_r |= tmp_r
-        np.not_equal(acc_r, 0, out=out[start:start + r])
+    for i in range(0, s, mats):
+        i2 = min(i + mats, s)
+        for j in range(0, m, rows):
+            j2 = min(j + rows, m)
+            acc_b, tmp_b = acc[:i2 - i, :j2 - j], tmp[:i2 - i, :j2 - j]
+            np.bitwise_and(aw[i:i2, 0, j:j2, None], bw[i:i2, 0, None], out=acc_b)
+            for w in range(1, aw.shape[1]):
+                np.bitwise_and(aw[i:i2, w, j:j2, None], bw[i:i2, w, None], out=tmp_b)
+                acc_b |= tmp_b
+            np.not_equal(acc_b, 0, out=out[i:i2, j:j2])
     return out
 
 

@@ -356,14 +356,23 @@ class Poset:
 
 
 def transitive_closure(matrix):
-    """Boolean reflexive-transitive closure by repeated squaring."""
-    m = np.asarray(matrix, dtype=bool).copy()
-    np.fill_diagonal(m, True)
-    while True:
-        nxt = m | bool_product(m, m)
-        if np.array_equal(nxt, m):
-            return m
-        m = nxt
+    """Boolean reflexive-transitive closure by repeated squaring.
+
+    Takes one square matrix or a stack of them. The stack is squared as one
+    until it stops changing; a matrix that no longer changes drops out.
+    """
+    m = np.array(matrix, dtype=bool, order="C")
+    diag = np.arange(m.shape[-1])
+    m[..., diag, diag] = True
+    stack = m.reshape(-1, *m.shape[-2:])
+    active = np.arange(len(stack))
+    while active.size:
+        part = stack[active]
+        nxt = part | bool_product(part, part)
+        changed = (nxt != part).any(axis=(1, 2))
+        active = active[changed]
+        stack[active] = nxt[changed]
+    return m
 
 
 def string_partial_order(strings):

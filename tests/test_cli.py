@@ -434,6 +434,10 @@ class TestEmptyInputs:
 
 NETCS_ST = golden("netcs_semigroup.json")["st"]
 NETCS_EYE = [[int(i == j) for j in range(len(NETCS_ST))] for i in range(len(NETCS_ST))]
+# (aa)a = ba = c, but a(aa) = ab = b
+NON_ASSOCIATIVE = {
+    "st": ["a", "b", "c"], "table": [[2, 2, 3], [3, 1, 3], [2, 2, 3]], "generators": [["a", 1]],
+}
 MALFORMED = {
     "tie-not-a-pair": (
         "census", {"actors": ["a", "b"], "relations": [{"name": "C", "ties": [["a"]]}]}
@@ -460,6 +464,8 @@ MALFORMED = {
     "poset-ragged": ("dot hasse", {"labels": ["a", "b"], "matrix": [[1], [0, 1]]}),
     "poset-labels-repeated": ("dot hasse", {"labels": ["a", "a"], "matrix": [[1, 0], [0, 1]]}),
     "table-st-repeated": ("decomp", {"st": ["a", "a"], "table": [[1, 2], [2, 1]]}),
+    "table-not-associative": ("decomp", NON_ASSOCIATIVE),
+    "table-not-associative-mca": ("decomp --mode mca --poset EYE3", NON_ASSOCIATIVE),
     "generator-letters-repeated": (
         "dot cayley",
         {"st": ["a", "b"], "table": [[1, 2], [2, 1]], "generators": [["a", 1], ["a", 2]]},
@@ -484,11 +490,14 @@ def test_malformed_json_exits_2_without_traceback(case, tmp_path):
     command, data = MALFORMED[case]
     p = tmp_path / f"{case}.json"
     p.write_text(json.dumps(data))
-    args = [str(DATA / "netcs_semigroup.json") if a == "SG" else a for a in command.split()]
-    r = run_process(*args, str(p))
+    eye3 = tmp_path / "eye3.json"
+    eye3.write_text(json.dumps({"labels": ["a", "b", "c"], "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+    inputs = {"SG": str(DATA / "netcs_semigroup.json"), "EYE3": str(eye3)}
+    r = run_process(*(inputs.get(a, a) for a in command.split()), str(p))
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("error: ")
+    assert len(r.stderr.splitlines()) == 1
 
 
 def put_bytes(path, data):

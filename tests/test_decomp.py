@@ -17,6 +17,7 @@ from relalg import (
     semigroup_from_dict,
     string_partial_order,
 )
+from relalg import decomp
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +134,54 @@ class TestFactorize:
     def test_label_mismatch_rejected(self, netcs_sg):
         with pytest.raises(ValidationError):
             factorize(netcs_sg, Poset(["x"], [[1]]))
+
+    @pytest.mark.parametrize("cells", [1, 2])
+    def test_seed_blocks_do_not_change_the_members(self, netcs_sg, netcs_po, monkeypatch, cells):
+        def members(lattice):
+            return [(m.seed, m.key()) for m in lattice.members]
+
+        want = members(factorize(netcs_sg, netcs_po))
+        n = netcs_sg.order
+        monkeypatch.setattr(decomp, "_BLOCK_CELLS", cells * n * n)
+        assert members(factorize(netcs_sg, netcs_po)) == want
+        table = np.array(netcs_sg.index_table())
+        st = netcs_sg.st
+        assert want == [
+            (seed and (st[seed[0]], st[seed[1]]), q.tobytes())
+            for seed, q in oracles.pi_members(table, netcs_po.matrix)
+        ]
+
+    def test_seeds_close_in_one_stack(self, netcs_sg, netcs_po, monkeypatch):
+        # once for the order itself, once for the one block of every seed
+        calls = []
+        closure = decomp.transitive_closure
+
+        def counted(m):
+            calls.append(1)
+            return closure(m)
+
+        monkeypatch.setattr(decomp, "transitive_closure", counted)
+        factorize(netcs_sg, netcs_po)
+        assert 0 < len(calls) <= 2
+
+
+# Light's test fails on generator a: (aa)a = ba = c, a(aa) = ab = b.
+NON_ASSOCIATIVE = {
+    "st": ["a", "b", "c"], "table": [[2, 2, 3], [3, 1, 3], [2, 2, 3]], "generators": [["a", 1]],
+}
+
+
+class TestAssociativity:
+    @pytest.mark.parametrize("generators", [True, False])
+    def test_non_associative_table_rejected(self, generators):
+        data = dict(NON_ASSOCIATIVE)
+        if not generators:
+            del data["generators"]
+        sg = semigroup_from_dict(data)
+        with pytest.raises(ValidationError, match="not associative"):
+            find_congruences(sg)
+        with pytest.raises(ValidationError, match="not associative"):
+            factorize(sg, Poset(sg.st, np.eye(3, dtype=bool)))
 
 
 class TestDecompose:

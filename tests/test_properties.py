@@ -2,6 +2,7 @@
 import re
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracles
@@ -143,6 +144,51 @@ class TestBoolProduct:
         rng = np.random.default_rng(0)
         a, b = rng.random((m, 65)) < 0.03, rng.random((65, n)) < 0.03
         assert np.array_equal(bool_product(a, b), oracles.witness_product(a, b))
+
+    @settings(max_examples=150, **COMMON)
+    @given(bool_operands(), st.sampled_from([0, 1, 3]))
+    def test_stacks_match_matrix_by_matrix(self, operands, batch):
+        a, b = operands
+        sa = np.stack([a, ~a, np.roll(a, 1, axis=0)])[:batch]
+        sb = np.stack([b, b, ~b])[:batch]
+        got = bool_product(sa, sb)
+        assert got.dtype == bool and got.shape == (batch, len(a), b.shape[1])
+        for x, y, z in zip(sa, sb, got):
+            assert np.array_equal(z, oracles.witness_product(x, y))
+        assert np.array_equal(bool_product(a, b), bool_product(a[None], b[None])[0])
+
+    def test_stack_of_matrices_larger_than_one_block(self):
+        # each 300 x 300 matrix needs several row blocks; 40 x 40 ones share a block
+        rng = np.random.default_rng(1)
+        for s, n in ((2, 300), (2 * (_BLOCK_WORDS // 1600) + 1, 40)):
+            a, b = rng.random((s, n, 70)) < 0.1, rng.random((s, 70, n)) < 0.1
+            got = bool_product(a, b)
+            for x, y, z in zip(a, b, got):
+                assert np.array_equal(z, oracles.witness_product(x, y))
+
+    def test_stacks_must_pair_up(self):
+        a = np.zeros((2, 3, 3), dtype=bool)
+        for b in (np.zeros((3, 3, 3), dtype=bool), np.zeros((3, 3), dtype=bool)):
+            with pytest.raises(ValueError):
+                bool_product(a, b)
+
+
+class TestStackClosure:
+    """The closure of a stack is the closure of each of its matrices."""
+
+    @settings(max_examples=60, **COMMON)
+    @given(
+        st.sampled_from([1, 5, 31, 32, 33, 40]), st.integers(0, 4),
+        st.sampled_from([0.0, 0.01, 0.03, 0.1]), st.integers(0, 2**32 - 1),
+    )
+    def test_matches_pair_closure_slice_by_slice(self, n, batch, density, seed):
+        stack = np.random.default_rng(seed).random((batch, n, n)) < density
+        got = transitive_closure(stack)
+        assert got.shape == stack.shape
+        for m, q in zip(stack, got):
+            want = oracles.transitive_closure(n, pairs_of(m))
+            assert pairs_of(q) == want
+            assert np.array_equal(transitive_closure(m), q)
 
 
 class TestCensus:
