@@ -16,9 +16,13 @@ do not generate the table, every element serves as a generator; the result
 is the same, only slower. The same generators check that the table is
 associative, which both searches assume.
 
-`factorize` closes all its seed pairs at once: each seed is one matrix of
-a stack of relations, grown by its translates and closed transitively with
-the rest of its block.
+Each search closes many relations at once, as blocks of one stack of
+matrices with one transitive closure per block. `factorize` grows each
+seed pair by its translates. `find_congruences` makes one pass over the
+pair graph, whose node {a, b} has an edge to each translate {f(a), f(b)}:
+a pair's result contains the results of the pairs it reaches, so it is
+settled once per strongly connected component, and a level of components
+at a time.
 """
 
 from dataclasses import dataclass
@@ -30,7 +34,7 @@ from .errors import ValidationError
 from .netcore import containment
 from .semigroup import Poset, transitive_closure
 
-# Cells in one block of seeds that factorize closes together.
+# Cells in one block of relations that are closed together.
 _BLOCK_CELLS = 1 << 20
 
 
@@ -67,11 +71,6 @@ class Congruence:
         return dict(zip(self.labels, self.vector))
 
 
-def _table(sg):
-    """The 0-based index table as a read-only order x order array."""
-    return sg._idx
-
-
 def _translations(sg):
     """Right maps x -> xg, then left maps x -> gx, one row per generator g.
 
@@ -81,7 +80,7 @@ def _translations(sg):
     the elements that pass are closed under products.
     """
     n = sg.order
-    t = _table(sg)
+    t = sg._idx
     gens = sorted({g for _, g in sg.generator_elements() if g is not None})
     reached = np.zeros(n, dtype=bool)
     reached[gens] = True
@@ -102,60 +101,123 @@ def _translations(sg):
     return t, np.concatenate([t[:, gens].T, t[gens, :]])
 
 
-def _quotient_merge(t, assign):
-    """Pairs of classes whose quotient rows and columns are identical.
+def _components(succ):
+    """Strongly connected components by Tarjan's algorithm, without recursion.
 
-    This goes past the smallest congruence joining a seed pair: classes the
-    quotient table cannot tell apart are merged too, which the reference
-    decompositions rely on. `assign` is a congruence, so any member stands
-    for its class.
+    succ[v] lists the successors of node v. Components are numbered as
+    Tarjan emits them, each after every component it reaches: sinks first.
     """
-    _, reps, cls = np.unique(assign, return_index=True, return_inverse=True)
-    q = cls[t[np.ix_(reps, reps)]]
-    first = {}
-    pairs = []
-    for r, row, col in zip(reps.tolist(), q, q.T):
-        r0 = first.setdefault(row.tobytes() + col.tobytes(), r)
-        if r0 != r:
-            pairs.append((r0, r))
-    return pairs
+    size = len(succ)
+    succ = succ + [range(size)]   # one more node, a root that reaches every node
+    # a node's index is its position on the stack while it is there
+    index, low, comp = [-1] * size + [0], [0] * (size + 1), [-1] * (size + 1)
+    stack, work, found = [size], [(size, iter(succ[size]))], 0
+    while work:
+        v, edges = work[-1]
+        for w in edges:
+            if index[w] < 0:
+                work.append((w, iter(succ[w])))
+                index[w] = low[w] = len(stack)
+                stack.append(w)
+                break
+            if comp[w] < 0:
+                low[v] = min(low[v], index[w])
+        else:
+            work.pop()
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[v])
+            if low[v] == index[v]:
+                for w in stack[index[v]:]:
+                    comp[w] = found
+                del stack[index[v]:]
+                found += 1
+    return comp[:size]
 
 
-def _pair_congruence(t, images, a, b):
-    """Smallest congruence joining a and b, then classes merged until stable."""
-    parent = list(range(len(t)))
+def _settle(maps, classes, starts):
+    """The least congruence above each start with no two classes alike.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    pending = [(a, b)]
-    while pending:
-        while pending:
-            x, y = pending.pop()
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-                pending.extend(zip(images[x], images[y]))
-        pending = _quotient_merge(t, [find(i) for i in range(len(t))])
-    return _canonical([find(i) for i in range(len(t))])
+    A start (results, pairs) relates the classes of earlier results (rows of
+    `classes`) and some pairs both ways, and holds its translates, so its
+    transitive closure E is a congruence. Then E <- M(E) until stable: M(E)
+    relates x and y when E relates f(x) and f(y) for every translation f,
+    so it merges the classes whose quotient rows and columns are equal. M is
+    monotone and keeps a congruence's pairs, so this ends at the least such
+    congruence above E. Each result lists every element's first class-mate.
+    """
+    n = classes.shape[1]
+    images = np.ascontiguousarray(maps.T)   # images[x]: the translates of x
+    row = f"V{4 * len(maps)}"               # those of one element, as bytes
+    block = max(1, _BLOCK_CELLS // (n * n))
+    out = []
+    for lo in range(0, len(starts), block):
+        part = starts[lo:lo + block]
+        m = np.zeros((len(part), n, n), dtype=bool)
+        joined = [(s, i) for s, (results, _) in enumerate(part) for i in results]
+        mat, res = np.array(joined, dtype=int).reshape(-1, 2).T
+        m[mat[:, None], np.arange(n), classes[res]] = True   # x ~ its first class-mate
+        added = [(s, x, y) for s, (_, pairs) in enumerate(part) for x, y in pairs]
+        mat, x, y = np.array(added, dtype=int).reshape(-1, 3).T
+        m[mat, x, y] = True
+        step = transitive_closure(m | m.swapaxes(1, 2)).argmax(axis=2)
+        offset = n * np.arange(len(part), dtype=np.int32)[:, None, None]
+        first = None
+        while not np.array_equal(step, first):   # group elements by their translates' classes
+            first = step
+            keys = np.ascontiguousarray(first.astype(np.int32)[:, images] + offset).view(row)
+            _, head, group = np.unique(keys, return_index=True, return_inverse=True)
+            step = (head[group] % n).reshape(-1, n)
+        out.extend(map(tuple, first.tolist()))
+    return out
 
 
 def find_congruences(sg):
-    """Congruences found by collapsing each pair of elements in turn.
+    """The distinct results of collapsing each pair of elements in turn.
 
-    Every unordered pair of distinct elements seeds a search that alternates
-    closure under the translations with merging of classes the quotient
-    table can no longer tell apart, until stable. Each distinct congruence
+    A pair's result is the least congruence containing it in which no two
+    classes have equal quotient rows and columns. Each distinct congruence
     appears once, finest first (more classes first, ties by class vector).
+    The pairs of one strongly connected component of the pair graph share
+    their result; the components are settled a level at a time.
     """
     t, maps = _translations(sg)
-    images = maps.T.tolist()
     n = len(t)
-    found = {_pair_congruence(t, images, a, b) for a in range(n) for b in range(a + 1, n)}
-    return [Congruence(sg.st, v) for v in sorted(found, key=lambda v: (-max(v), v))]
+    a, b = np.triu_indices(n, 1)
+    ids = np.full((n, n), -1)
+    ids[a, b] = ids[b, a] = np.arange(len(a))
+    succ = ids[maps[:, a], maps[:, b]]
+    succ = np.where(succ < 0, np.arange(len(a)), succ)   # equal translates: a self-loop
+    comp = np.array(_components(succ.T.tolist()), dtype=int)
+    count = comp.max(initial=-1) + 1
+    links = np.unique(comp * count + comp[succ])
+    level, lower, pairs = [0] * count, [[] for _ in range(count)], [[] for _ in range(count)]
+    src, dst = np.divmod(links[links // count != links % count], count)
+    for c, d in zip(src.tolist(), dst.tolist()):
+        level[c] = max(level[c], level[d] + 1)
+        lower[c].append(d)
+    for c, x, y in zip(comp.tolist(), a.tolist(), b.tolist()):
+        pairs[c].append((x, y))
+    levels = [[] for _ in range(max(level, default=-1) + 1)]
+    for c, k in enumerate(level):
+        levels[k].append(c)
+
+    # A component's pairs share their least fixpoint R. A result below that
+    # holds one of them holds R, so it is R; else R is settled above the
+    # results below and the component's pairs.
+    known, firsts, result = {}, [], [0] * count
+    for comps in levels:
+        seeds, starts = [], []
+        for c in comps:
+            (x, y), below = pairs[c][0], {result[d] for d in lower[c]}
+            result[c] = next((i for i in below if firsts[i][x] == firsts[i][y]), None)
+            if result[c] is None:
+                seeds.append(c)
+                starts.append((below, pairs[c]))
+        for c, v in zip(seeds, _settle(maps, np.array(firsts, dtype=int).reshape(-1, n), starts)):
+            result[c] = known.setdefault(v, len(known))
+        firsts = list(known)
+    vectors = {_canonical(firsts[i]) for i in set(result)}
+    return [Congruence(sg.st, v) for v in sorted(vectors, key=lambda v: (-max(v), v))]
 
 
 def _first_members(t, vector):
@@ -176,7 +238,7 @@ def is_congruence(sg, vector):
     """Does the class vector satisfy the substitution property?"""
     if len(vector) != sg.order:
         raise ValidationError("class vector length must match the table")
-    return _first_members(_table(sg), vector) is not None
+    return _first_members(sg._idx, vector) is not None
 
 
 # ---------------------------------------------------------------- quasi-orders
@@ -324,7 +386,7 @@ class Reduction:
 
 
 def _quotient(sg, vector, q=None, kind="cc"):
-    t = _table(sg)
+    t = sg._idx
     rep = _first_members(t, vector)
     if rep is None:
         raise ValidationError("partition is not a congruence of the table")

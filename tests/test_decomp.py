@@ -90,6 +90,74 @@ class TestFindCongruences:
         assert classes[2] == ["K", "CK"]
 
 
+def z(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+LEFT_ZERO_5 = [  # and the right-zero band's: each pair alone, as every partition is a congruence
+    (1, 1, 2, 3, 4), (1, 2, 1, 3, 4), (1, 2, 2, 3, 4), (1, 2, 3, 1, 4), (1, 2, 3, 2, 4),
+    (1, 2, 3, 3, 4), (1, 2, 3, 4, 1), (1, 2, 3, 4, 2), (1, 2, 3, 4, 3), (1, 2, 3, 4, 4),
+]
+
+MAX_CHAIN_6 = [  # one interval of the chain merged, for each of the 15 intervals
+    (1, 1, 2, 3, 4, 5), (1, 2, 2, 3, 4, 5), (1, 2, 3, 3, 4, 5), (1, 2, 3, 4, 4, 5),
+    (1, 2, 3, 4, 5, 5), (1, 1, 1, 2, 3, 4), (1, 2, 2, 2, 3, 4), (1, 2, 3, 3, 3, 4),
+    (1, 2, 3, 4, 4, 4), (1, 1, 1, 1, 2, 3), (1, 2, 2, 2, 2, 3), (1, 2, 3, 3, 3, 3),
+    (1, 1, 1, 1, 1, 2), (1, 2, 2, 2, 2, 2), (1, 1, 1, 1, 1, 1),
+]
+
+
+class TestPairGraph:
+    """Edge tables of the pair graph: cycles, self-loops, pairs whose every
+    translate is equal, and tables too small to have pairs."""
+
+    @pytest.mark.parametrize(
+        "table, generators, want",
+        [
+            (z(6), [1], [(1, 2, 3, 1, 2, 3), (1, 2, 1, 2, 1, 2), (1,) * 6]),
+            (z(6), None, [(1, 2, 3, 1, 2, 3), (1, 2, 1, 2, 1, 2), (1,) * 6]),
+            (z(5), None, [(1,) * 5]),
+            ([[0] * 6] * 6, None, [(1,) * 6]),
+            ([[i] * 5 for i in range(5)], None, LEFT_ZERO_5),
+            ([list(range(5))] * 5, None, LEFT_ZERO_5),
+            ([[max(i, j) for j in range(6)] for i in range(6)], None, MAX_CHAIN_6),
+            ([[0]], None, []),
+            ([[0, 1], [1, 0]], None, [(1, 1)]),
+            ([[0, 0], [0, 1]], None, [(1, 1)]),
+        ],
+        ids=["z6-generator", "z6", "z5", "null6", "left-zero5", "right-zero5", "max-chain6",
+             "order1", "order2-group", "order2-chain"],
+    )
+    def test_edge_tables(self, table, generators, want):
+        sg = tiny_semigroup(table)
+        if generators is not None:
+            data = dict(sg.to_dict(), generators=[[f"g{g}", g + 1] for g in generators])
+            sg = semigroup_from_dict(data)
+        assert [c.vector for c in find_congruences(sg)] == want
+        assert want == oracles.congruence_vectors(table)
+
+    def test_fewer_closures_than_seed_pairs(self, netcs_sg, monkeypatch):
+        # one stack per level of the pair graph, not one closure per pair
+        calls = []
+        closure = decomp.transitive_closure
+
+        def counted(m):
+            calls.append(1)
+            return closure(m)
+
+        monkeypatch.setattr(decomp, "transitive_closure", counted)
+        find_congruences(netcs_sg)
+        n = netcs_sg.order
+        assert 0 < len(calls) < n * (n - 1) // 2
+
+    def test_blocks_of_one_matrix_change_nothing(self, netcs_sg, monkeypatch):
+        want = [c.vector for c in find_congruences(netcs_sg)]
+        n = netcs_sg.order
+        monkeypatch.setattr(decomp, "_BLOCK_CELLS", n * n)
+        assert [c.vector for c in find_congruences(netcs_sg)] == want
+        assert want == oracles.congruence_vectors(netcs_sg.index_table())
+
+
 class TestFactorize:
     def test_two_element_chain_has_single_proper_coarsening(self):
         sg = tiny_semigroup([[0, 0], [0, 1]])

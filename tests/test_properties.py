@@ -324,6 +324,31 @@ class TestTranslationClosure:
             assert got_pi == want_pi
 
 
+class TestCongruenceDP:
+    """The one pass over the pair graph finds the congruences that the
+    per-seed search finds, list for list: with the table's generators,
+    without them, and with one generator that does not generate."""
+
+    @settings(
+        max_examples=100, suppress_health_check=[HealthCheck.filter_too_much], **COMMON
+    )
+    @given(network(max_n=4, max_slices=3))
+    def test_matches_per_seed_search(self, net):
+        sg = build_semigroup(small_closure(net, cap=20))
+        table = sg.index_table()
+        e = proper_cyclic(table)
+        assume(e is not None)
+        data = sg.to_dict()
+        variants = [
+            sg,
+            semigroup_from_dict({k: v for k, v in data.items() if k != "generators"}),
+            semigroup_from_dict(dict(data, generators=[[sg.st[e], e + 1]])),
+        ]
+        want = oracles.congruence_vectors(table)
+        for variant in variants:
+            assert [c.vector for c in find_congruences(variant)] == want
+
+
 class TestPiLatticeQueries:
     """Atoms, meet complements and partitions read off the lattice's one
     inclusion matrix match the pairwise comparisons, member for member."""
