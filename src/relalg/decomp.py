@@ -14,17 +14,17 @@ generator g closes under every element: a table that carries its
 "generators" is closed under 2|A| translations. Without them, or when they
 do not generate the table, every element serves as a generator; the result
 is the same, only slower. The same generators check that the table is
-associative, which both searches assume.
+associative, which both searches assume. A table's translations are found
+once and kept while the table lives.
 
-Each search closes many relations at once, as blocks of one stack of
-matrices with one transitive closure per block. `factorize` grows each
-seed pair by its translates. `find_congruences` makes one pass over the
-pair graph, whose node {a, b} has an edge to each translate {f(a), f(b)}:
-a pair's result contains the results of the pairs it reaches, so it is
-settled once per strongly connected component, and a level of components
-at a time.
+Both searches close their seed pairs in one pass over a pair graph, whose
+node (x, y) has an edge to each translate (f(x), f(y)): unordered pairs for
+congruences, ordered pairs for quasi-orders. A pair's result contains the
+results of the pairs it reaches, so it is settled once per strongly
+connected component, and a level of components at a time.
 """
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,6 +36,9 @@ from .semigroup import Poset, transitive_closure
 
 # Cells in one block of relations that are closed together.
 _BLOCK_CELLS = 1 << 20
+
+# Each table's translations; a Semigroup does not change once built.
+_TRANSLATIONS = weakref.WeakKeyDictionary()
 
 
 def _canonical(assign):
@@ -79,6 +82,8 @@ def _translations(sg):
     (xg)y = x(gy) for every generator g gives it for every element, since
     the elements that pass are closed under products.
     """
+    if sg in _TRANSLATIONS:
+        return _TRANSLATIONS[sg]
     n = sg.order
     t = sg._idx
     gens = sorted({g for _, g in sg.generator_elements() if g is not None})
@@ -98,7 +103,8 @@ def _translations(sg):
             raise ValidationError(
                 f"table is not associative: ({x} {sg.st[g]}) {y} != {x} ({sg.st[g]} {y})"
             )
-    return t, np.concatenate([t[:, gens].T, t[gens, :]])
+    _TRANSLATIONS[sg] = t, np.concatenate([t[:, gens].T, t[gens, :]], dtype=np.int32)
+    return _TRANSLATIONS[sg]
 
 
 def _components(succ):
@@ -134,41 +140,60 @@ def _components(succ):
     return comp[:size]
 
 
-def _settle(maps, classes, starts):
-    """The least congruence above each start with no two classes alike.
+def _pair_pass(maps, start, ids, xs, ys, close):
+    """Each seed pair's result, in one pass over the pair graph.
 
-    A start (results, pairs) relates the classes of earlier results (rows of
-    `classes`) and some pairs both ways, and holds its translates, so its
-    transitive closure E is a congruence. Then E <- M(E) until stable: M(E)
-    relates x and y when E relates f(x) and f(y) for every translation f,
-    so it merges the classes whose quotient rows and columns are equal. M is
-    monotone and keeps a congruence's pairs, so this ends at the least such
-    congruence above E. Each result lists every element's first class-mate.
+    Node i is the pair (xs[i], ys[i]), with an edge to each translate
+    (f(x), f(y)); `ids` maps a pair to its node, or to -1 where `start`
+    holds it. `start` holds its translates, and `close` takes a stack of
+    relations that hold theirs to their least results. A pair's result
+    holds those of the pairs it reaches, so the pairs of a strongly
+    connected component share one: a result below that holds one of its
+    pairs (it then holds the component's result and lies inside it), or
+    else `close` of `start`, the results below and the component's pairs,
+    a level of components at a time, in blocks of at most _BLOCK_CELLS
+    cells. Returns the distinct results and each node's index among them.
     """
-    n = classes.shape[1]
-    images = np.ascontiguousarray(maps.T)   # images[x]: the translates of x
-    row = f"V{4 * len(maps)}"               # those of one element, as bytes
+    n, size = len(start), len(xs)
+    succ = np.sort(ids[maps[:, xs], maps[:, ys]], axis=0)
+    keep = (succ >= 0) & (succ != np.arange(size))   # no edges into start, no self-loops
+    keep[1:] &= succ[1:] != succ[:-1]
+    targets, counts = succ.T[keep.T], keep.sum(axis=0)
+    del succ, keep   # k entries a node: large without generators
+    edges, ends = memoryview(targets), np.cumsum(counts).tolist()   # views, not lists of ints
+    comp = np.array(_components([edges[lo:hi] for lo, hi in zip([0] + ends, ends)]), dtype=int)
+    count = comp.max(initial=-1) + 1
+    links = np.unique(comp[np.repeat(np.arange(size), counts)] * count + comp[targets])
+    nodes = np.split(np.argsort(comp, kind="stable"), np.cumsum(np.bincount(comp))[:-1])
+    level, lower = [0] * count, [[] for _ in range(count)]
+    src, dst = np.divmod(links[links // count != links % count], count)
+    for c, d in zip(src.tolist(), dst.tolist()):   # sinks first: d is settled before c
+        level[c] = max(level[c], level[d] + 1)
+        lower[c].append(d)
+    levels = np.split(np.argsort(level, kind="stable"), np.cumsum(np.bincount(level))[:-1])
+
     block = max(1, _BLOCK_CELLS // (n * n))
-    out = []
-    for lo in range(0, len(starts), block):
-        part = starts[lo:lo + block]
-        m = np.zeros((len(part), n, n), dtype=bool)
-        joined = [(s, i) for s, (results, _) in enumerate(part) for i in results]
-        mat, res = np.array(joined, dtype=int).reshape(-1, 2).T
-        m[mat[:, None], np.arange(n), classes[res]] = True   # x ~ its first class-mate
-        added = [(s, x, y) for s, (_, pairs) in enumerate(part) for x, y in pairs]
-        mat, x, y = np.array(added, dtype=int).reshape(-1, 3).T
-        m[mat, x, y] = True
-        step = transitive_closure(m | m.swapaxes(1, 2)).argmax(axis=2)
-        offset = n * np.arange(len(part), dtype=np.int32)[:, None, None]
-        first = None
-        while not np.array_equal(step, first):   # group elements by their translates' classes
-            first = step
-            keys = np.ascontiguousarray(first.astype(np.int32)[:, images] + offset).view(row)
-            _, head, group = np.unique(keys, return_index=True, return_inverse=True)
-            step = (head[group] % n).reshape(-1, n)
-        out.extend(map(tuple, first.tolist()))
-    return out
+    keys, found, result = {}, [], [0] * count
+    for comps in levels:
+        todo = []
+        for c in comps.tolist():
+            below, x, y = {result[d] for d in lower[c]}, xs[nodes[c][0]], ys[nodes[c][0]]
+            result[c] = next((r for r in below if found[r][x, y]), None)
+            if result[c] is None:
+                todo.append((c, below))
+        for lo in range(0, len(todo), block):
+            part = todo[lo:lo + block]
+            m = np.repeat(start[None], len(part), axis=0)
+            for s, (c, below) in enumerate(part):
+                m[s, xs[nodes[c]], ys[nodes[c]]] = True
+                for r in below:
+                    m[s] |= found[r]
+            for (c, _), q in zip(part, close(m)):
+                key = q.tobytes()
+                result[c] = keys.setdefault(key, len(keys))
+                if result[c] == len(found):
+                    found.append(np.frombuffer(key, dtype=bool).reshape(n, n))
+    return found, np.array(result, dtype=int)[comp]
 
 
 def find_congruences(sg):
@@ -177,46 +202,38 @@ def find_congruences(sg):
     A pair's result is the least congruence containing it in which no two
     classes have equal quotient rows and columns. Each distinct congruence
     appears once, finest first (more classes first, ties by class vector).
-    The pairs of one strongly connected component of the pair graph share
-    their result; the components are settled a level at a time.
+    The nodes of the pair graph are the unordered pairs {a, b}.
     """
     t, maps = _translations(sg)
     n = len(t)
-    a, b = np.triu_indices(n, 1)
-    ids = np.full((n, n), -1)
-    ids[a, b] = ids[b, a] = np.arange(len(a))
-    succ = ids[maps[:, a], maps[:, b]]
-    succ = np.where(succ < 0, np.arange(len(a)), succ)   # equal translates: a self-loop
-    comp = np.array(_components(succ.T.tolist()), dtype=int)
-    count = comp.max(initial=-1) + 1
-    links = np.unique(comp * count + comp[succ])
-    level, lower, pairs = [0] * count, [[] for _ in range(count)], [[] for _ in range(count)]
-    src, dst = np.divmod(links[links // count != links % count], count)
-    for c, d in zip(src.tolist(), dst.tolist()):
-        level[c] = max(level[c], level[d] + 1)
-        lower[c].append(d)
-    for c, x, y in zip(comp.tolist(), a.tolist(), b.tolist()):
-        pairs[c].append((x, y))
-    levels = [[] for _ in range(max(level, default=-1) + 1)]
-    for c, k in enumerate(level):
-        levels[k].append(c)
+    images = np.ascontiguousarray(maps.T)   # images[x]: the translates of x
+    row = f"V{4 * len(maps)}"               # those of one element, as bytes
 
-    # A component's pairs share their least fixpoint R. A result below that
-    # holds one of them holds R, so it is R; else R is settled above the
-    # results below and the component's pairs.
-    known, firsts, result = {}, [], [0] * count
-    for comps in levels:
-        seeds, starts = [], []
-        for c in comps:
-            (x, y), below = pairs[c][0], {result[d] for d in lower[c]}
-            result[c] = next((i for i in below if firsts[i][x] == firsts[i][y]), None)
-            if result[c] is None:
-                seeds.append(c)
-                starts.append((below, pairs[c]))
-        for c, v in zip(seeds, _settle(maps, np.array(firsts, dtype=int).reshape(-1, n), starts)):
-            result[c] = known.setdefault(v, len(known))
-        firsts = list(known)
-    vectors = {_canonical(firsts[i]) for i in set(result)}
+    def close(m):
+        """The least congruences above the relations, with no two classes alike.
+
+        A relation that holds its translates has a transitive closure E that
+        is a congruence once made symmetric. Then E <- M(E) until stable:
+        M(E) relates x and y when E relates f(x) and f(y) for every
+        translation f, so it merges the classes whose quotient rows and
+        columns are equal. M is monotone and keeps a congruence's pairs, so
+        this ends at the least such congruence above E.
+        """
+        step = transitive_closure(m | m.swapaxes(1, 2)).argmax(axis=2)   # first class-mates
+        offset = n * np.arange(len(m), dtype=np.int32)[:, None, None]
+        first = None
+        while not np.array_equal(step, first):   # group elements by their translates' classes
+            first = step
+            keys = np.ascontiguousarray(first.astype(np.int32)[:, images] + offset).view(row)
+            _, head, group = np.unique(keys, return_index=True, return_inverse=True)
+            step = (head[group] % n).reshape(-1, n)
+        return first[:, :, None] == first[:, None, :]
+
+    a, b = np.triu_indices(n, 1)
+    ids = np.full((n, n), -1, dtype=np.int32)
+    ids[a, b] = ids[b, a] = np.arange(len(a))
+    found, _ = _pair_pass(maps, np.eye(n, dtype=bool), ids, a, b, close)
+    vectors = {_canonical(q.argmax(axis=1).tolist()) for q in found}
     return [Congruence(sg.st, v) for v in sorted(vectors, key=lambda v: (-max(v), v))]
 
 
@@ -270,28 +287,6 @@ class PiRelation:
         return _canonical(np.argmax(mutual, axis=1).tolist())
 
 
-def _pi_close(maps, closed, pairs):
-    """Smallest compatible quasi-orders containing closed ones plus some pairs.
-
-    `closed` is a stack of quasi-orders already closed under the translations;
-    `pairs` holds flat cell indices s * n * n + x * n + y, cell (x, y) of
-    matrix s. Their translates are added breadth first, within each matrix.
-    Transitive closure keeps a relation closed under the translations
-    (a <= b <= c gives ag <= bg <= cg), so one pass of each reaches the
-    fixpoint.
-    """
-    n = closed.shape[-1]
-    m = closed.copy()
-    flat = m.reshape(-1)
-    while pairs.size:
-        flat[pairs] = True
-        mats, cells = np.divmod(pairs, n * n)
-        rows, cols = np.divmod(cells, n)
-        step = (mats * (n * n) + maps[:, rows] * n + maps[:, cols]).reshape(-1)
-        pairs = np.unique(step[~flat[step]])
-    return transitive_closure(m)
-
-
 class PiLattice:
     """The distinct principal compatible quasi-orders over a table + order.
 
@@ -336,29 +331,31 @@ def factorize(sg, po):
     For each ordered pair not already comparable, the pair is adjoined and
     closed; the distinct results, together with the order itself, form the
     lattice searched for atoms and their complements. The element order must
-    be a partial order. The seeds are closed together, as blocks of one stack
-    of relations of at most _BLOCK_CELLS cells each.
+    be a partial order. The nodes of the pair graph are the ordered pairs
+    that the least compatible quasi-order above the element order lacks; a
+    seed it holds closes to it.
     """
     if tuple(po.labels) != tuple(sg.st):
         raise ValidationError("order and table must share their element labels")
     po.check()
-    t, maps = _translations(sg)
-    n = len(t)
+    _, maps = _translations(sg)
     base = np.asarray(po.matrix, dtype=bool)
-    closed = _pi_close(maps, np.eye(n, dtype=bool)[None], np.flatnonzero(base))
-    members = [PiRelation(sg.st, base, seed=None)]
-    seen = {base.tobytes()}
+    start, grown = None, base
+    while not np.array_equal(grown, start):   # up to the least compatible quasi-order above it
+        start, (x, y) = grown, np.nonzero(grown)
+        grown = transitive_closure(start)
+        grown[maps[:, x], maps[:, y]] = True
+    xs, ys = np.nonzero(~start)
+    ids = np.full(start.shape, -1, dtype=np.int32)
+    ids[xs, ys] = np.arange(len(xs))
+    found, of = _pair_pass(maps, start, ids, xs, ys, transitive_closure)
+    which = np.append(of, len(found))[ids[~base]]   # each seed's result, or start's
+    found.append(start)
     xs, ys = np.nonzero(~base)
-    block = max(1, _BLOCK_CELLS // (n * n))
-    for start in range(0, len(xs), block):
-        x, y = xs[start:start + block], ys[start:start + block]
-        seeds = np.arange(len(x)) * (n * n) + x * n + y
-        for i, q in enumerate(_pi_close(maps, np.repeat(closed, len(x), axis=0), seeds)):
-            key = q.tobytes()
-            if key not in seen:
-                seen.add(key)
-                # a copy, so that a member does not keep its whole block alive
-                members.append(PiRelation(sg.st, q.copy(), seed=(sg.st[x[i]], sg.st[y[i]])))
+    members = [PiRelation(sg.st, base)] + [
+        PiRelation(sg.st, found[which[i]], seed=(sg.st[xs[i]], sg.st[ys[i]]))
+        for i in sorted(np.unique(which, return_index=True)[1])
+    ]
     return PiLattice(sg.st, base, members)
 
 

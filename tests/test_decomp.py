@@ -137,18 +137,18 @@ class TestPairGraph:
         assert want == oracles.congruence_vectors(table)
 
     def test_fewer_closures_than_seed_pairs(self, netcs_sg, monkeypatch):
-        # one stack per level of the pair graph, not one closure per pair
-        calls = []
+        # a pair that a result below holds is not closed again
+        n = netcs_sg.order
+        matrices = []
         closure = decomp.transitive_closure
 
         def counted(m):
-            calls.append(1)
+            matrices.append(np.size(m) // (n * n))
             return closure(m)
 
         monkeypatch.setattr(decomp, "transitive_closure", counted)
         find_congruences(netcs_sg)
-        n = netcs_sg.order
-        assert 0 < len(calls) < n * (n - 1) // 2
+        assert 0 < sum(matrices) < n * (n - 1) // 2
 
     def test_blocks_of_one_matrix_change_nothing(self, netcs_sg, monkeypatch):
         want = [c.vector for c in find_congruences(netcs_sg)]
@@ -219,18 +219,34 @@ class TestFactorize:
             for seed, q in oracles.pi_members(table, netcs_po.matrix)
         ]
 
-    def test_seeds_close_in_one_stack(self, netcs_sg, netcs_po, monkeypatch):
-        # once for the order itself, once for the one block of every seed
-        calls = []
+    def test_fewer_closures_than_seeds(self, netcs_sg, netcs_po, monkeypatch):
+        # a seed takes the result below it that holds it; only the others are closed
+        n = netcs_sg.order
+        matrices = []
         closure = decomp.transitive_closure
 
         def counted(m):
-            calls.append(1)
+            matrices.append(np.size(m) // (n * n))
             return closure(m)
 
         monkeypatch.setattr(decomp, "transitive_closure", counted)
         factorize(netcs_sg, netcs_po)
-        assert 0 < len(calls) <= 2
+        seeds = n * n - int(netcs_po.matrix.sum())
+        assert 0 < sum(matrices) < seeds
+
+    @pytest.mark.parametrize(
+        "order",
+        [[[i <= j for j in range(6)] for i in range(6)],
+         [[i == j or (i, j) == (0, 3) for j in range(6)] for i in range(6)]],
+        ids=["chain-closes-to-everything", "one-pair-closes-to-mod-3"],
+    )
+    def test_orders_not_compatible_with_the_table(self, order):
+        sg, base = tiny_semigroup(z(6)), np.array(order)
+        lattice = factorize(sg, Poset(sg.st, base))
+        want = oracles.pi_members(np.array(z(6)), base)
+        assert [(m.seed, m.key()) for m in lattice.members] == [
+            (seed and (sg.st[seed[0]], sg.st[seed[1]]), q.tobytes()) for seed, q in want
+        ]
 
 
 # Light's test fails on generator a: (aa)a = ba = c, a(aa) = ab = b.
@@ -250,6 +266,9 @@ class TestAssociativity:
             find_congruences(sg)
         with pytest.raises(ValidationError, match="not associative"):
             factorize(sg, Poset(sg.st, np.eye(3, dtype=bool)))
+
+    def test_translations_found_once_per_table(self, netcs_sg):
+        assert decomp._translations(netcs_sg) is decomp._translations(netcs_sg)
 
 
 class TestDecompose:
