@@ -8,6 +8,10 @@ a failed run prints nothing; input problems exit 2, computational limits 3.
 """
 
 import json
+import os
+
+# Before numpy loads: relalg makes no BLAS call, and an idle OpenBLAS pool only spins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
 

@@ -147,8 +147,9 @@ def bool_product(a, b):
     matrix by matrix. At _SMALL or more in every dimension, the rows of a and
     the columns of b are packed into 64-bit words, and each block (of whole
     matrices, or of rows when one matrix is too large) ORs together the ANDs
-    of their words. Only AND and OR are used, so the result is exact at any
-    size; there is no float step and no BLAS call.
+    of their words, stopping early once every cell is set. Only AND and OR
+    are used, so the result is exact at any size; there is no float step and
+    no BLAS call.
     """
     a = np.asarray(a, dtype=bool)
     b = np.asarray(b, dtype=bool)
@@ -163,6 +164,7 @@ def bool_product(a, b):
         return bool_product(a[None], b[None])[0]
     s = len(a)
     aw, bw = _pack(a), _pack(b.swapaxes(1, 2))
+    words = aw.shape[1]
     out = np.empty((s, m, n), dtype=bool)
     mats = max(1, _BLOCK_WORDS // (m * n))
     rows = max(1, _BLOCK_WORDS // n)
@@ -174,7 +176,18 @@ def bool_product(a, b):
             j2 = min(j + rows, m)
             acc_b, tmp_b = acc[:i2 - i, :j2 - j], tmp[:i2 - i, :j2 - j]
             np.bitwise_and(aw[i:i2, 0, j:j2, None], bw[i:i2, 0, None], out=acc_b)
-            for w in range(1, aw.shape[1]):
+            live = True
+            for w in range(1, words):
+                # Dense operands: stop once every word is set. A set first word,
+                # then a strided sample, guard the full check. A sample with
+                # over 1/64 of its words unset ends the checks for this block,
+                # and the last word is never worth one.
+                if live and w < words - 1 and acc_b.item(0):
+                    sample = acc_b[:, ::8, ::8]
+                    unset = sample.size - np.count_nonzero(sample)
+                    if not unset and acc_b.min():
+                        break
+                    live = unset * 64 <= sample.size
                 np.bitwise_and(aw[i:i2, w, j:j2, None], bw[i:i2, w, None], out=tmp_b)
                 acc_b |= tmp_b
             np.not_equal(acc_b, 0, out=out[i:i2, j:j2])

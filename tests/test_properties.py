@@ -166,6 +166,19 @@ class TestBoolProduct:
             for x, y, z in zip(a, b, got):
                 assert np.array_equal(z, oracles.witness_product(x, y))
 
+    @pytest.mark.parametrize("p", [0.9, 0.5, 0.03])
+    def test_dense_operands_stop_early_and_exactly(self, p):
+        # 200 inner bits make four words, so a dense block can stop before
+        # its last ones; row 1 lies off the sampled rows, and only its
+        # third word holds a bit
+        rng = np.random.default_rng(2)
+        for s, m, n in ((1, 300, 300), (5, 40, 40)):
+            a, b = rng.random((s, m, 200)) < p, rng.random((s, 200, n)) < p
+            a[:, 1] = False
+            a[:, 1, 150] = True
+            assert np.array_equal(bool_product(a, b), a @ b)
+            assert np.array_equal(bool_product(a[0], b[0]), a[0] @ b[0])
+
     def test_stacks_must_pair_up(self):
         a = np.zeros((2, 3, 3), dtype=bool)
         for b in (np.zeros((3, 3, 3), dtype=bool), np.zeros((3, 3), dtype=bool)):
