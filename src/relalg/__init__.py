@@ -22,7 +22,7 @@ _EXPORTS = {
     "find_congruences is_congruence",
     "dot": "DotDocument bipartite_dot cayley_dot hasse_dot multigraph_dot",
     "errors": "ClosureTooLargeError ComputationError DimensionError NonConvergenceError "
-    "RelalgError UndefinedStatisticError ValidationError",
+    "RelalgError TooManyConceptsError UndefinedStatisticError ValidationError",
     "fca": "Concept ConceptOrder Concepts FormalContext concept_order concepts derive "
     "extent filter_ideal",
     "netcore": "MultiplexNetwork RelationMatrix components compose network_from_dict "

@@ -3,7 +3,18 @@
 Two broad families matter to callers: input problems (bad labels, malformed
 files, mismatched actor sets) and computational limits (closure explosion,
 fixpoints that refuse to settle). The CLI maps them to exit codes 2 and 3.
+Each cap on a computation is read by `read_cap`.
 """
+
+import os
+
+
+def read_cap(value, env, default):
+    """A computation's cap: value if given, else the variable env if set, else default."""
+    if value is not None:
+        return int(value)
+    text = os.environ.get(env)
+    return int(text) if text else default
 
 
 class RelalgError(Exception):
@@ -31,6 +42,17 @@ class ClosureTooLargeError(ComputationError):
         super().__init__(
             f"closure exceeded {cap} elements (at {count} and growing); "
             "raise the cap via max_elements or RELALG_MAX_CLOSURE"
+        )
+
+
+class TooManyConceptsError(ComputationError):
+    """Concept enumeration exceeded the concept-count cap."""
+
+    def __init__(self, cap):
+        self.cap = cap
+        super().__init__(
+            f"context has more than {cap} concepts; "
+            "raise the cap via max_concepts or RELALG_MAX_CONCEPTS"
         )
 
 

@@ -13,9 +13,12 @@ import io
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import TooManyConceptsError, ValidationError, read_cap
 from .netcore import _check_labels, bool_product, bool_rows, containment, string_list
 from .semigroup import Poset
+
+# ConceptOrder holds C x C bools: 400 MB at this many concepts.
+DEFAULT_MAX_CONCEPTS = 20_000
 
 
 class FormalContext:
@@ -153,7 +156,7 @@ class Concepts:
         return out
 
 
-def concepts(ctx):
+def concepts(ctx, max_concepts=None):
     """Enumerate every concept of the context.
 
     Attribute column extents seed the list in column order; intersections
@@ -164,7 +167,11 @@ def concepts(ctx):
     each object to the smallest concept containing it, whose extent is the
     object's row of containment(incidence), and each attribute to its own
     column concept.
+
+    Raises TooManyConceptsError as soon as the listing would exceed the cap:
+    max_concepts, else RELALG_MAX_CONCEPTS, else DEFAULT_MAX_CONCEPTS.
     """
+    cap = read_cap(max_concepts, "RELALG_MAX_CONCEPTS", DEFAULT_MAX_CONCEPTS)
     inc = ctx.incidence
     nobj = len(ctx.objects)
     packed = np.packbits(inc.T, axis=1, bitorder="little")
@@ -177,9 +184,13 @@ def concepts(ctx):
             if inter not in seen:
                 seen.add(inter)
                 extents.append(inter)
+                if len(extents) > cap:
+                    raise TooManyConceptsError(cap)
     full = (1 << nobj) - 1
     if full not in seen:
         extents.append(full)
+    if len(extents) > cap:
+        raise TooManyConceptsError(cap)
     width = (nobj + 7) // 8
     raw = np.frombuffer(b"".join(e.to_bytes(width, "little") for e in extents), np.uint8)
     x = np.unpackbits(raw.reshape(len(extents), width), axis=1, count=nobj, bitorder="little") > 0

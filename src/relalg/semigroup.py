@@ -15,11 +15,9 @@ relation boxes read a word's element off the closure's first k levels as
 its prefix's element times its last letter: only the closure multiplies.
 """
 
-import os
-
 import numpy as np
 
-from .errors import ClosureTooLargeError, ValidationError
+from .errors import ClosureTooLargeError, ValidationError, read_cap
 from .netcore import (
     _check_labels, bool_product, bool_rows, containment, permutation_order, string_list,
 )
@@ -28,10 +26,7 @@ DEFAULT_MAX_CLOSURE = 100_000
 
 
 def _closure_cap(max_elements):
-    if max_elements is not None:
-        return int(max_elements)
-    env = os.environ.get("RELALG_MAX_CLOSURE")
-    return int(env) if env else DEFAULT_MAX_CLOSURE
+    return read_cap(max_elements, "RELALG_MAX_CLOSURE", DEFAULT_MAX_CLOSURE)
 
 
 class StringSet:

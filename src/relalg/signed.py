@@ -10,7 +10,8 @@ The evaluator works on letter codes, each letter's index in VALENCES as a
 uint8. A semiring's + and * become 5 x 5 lookup arrays derived from its own
 letter tables, which stay the specification that verify_semiring checks;
 the fuse rule of the symmetric closure is one more such array. A sum or a
-fusion is then one whole-array gather, and a product one gather per actor.
+fusion is then one whole-array gather, a product one boolean product of
+letter planes, and the closure O(log n) products, squaring its partial sum.
 """
 
 from dataclasses import dataclass, field
@@ -18,19 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComputationError, NonConvergenceError, ValidationError
-from .netcore import _check_labels, connected_components
+from .netcore import _check_labels, bool_product, connected_components
 
 VALENCES = ("p", "o", "n", "a", "q")
 _CODE = {v: i for i, v in enumerate(VALENCES)}
 _LETTERS = np.array(VALENCES, dtype="<U1")
-
-
-def _encode(cells):
-    """The letter matrix as uint8 codes."""
-    codes = np.zeros(cells.shape, dtype=np.uint8)
-    for v, c in _CODE.items():
-        codes[cells == v] = c
-    return codes
 
 
 def _lut(table):
@@ -42,19 +35,25 @@ def _lut(table):
 
 
 class SignedMatrix:
-    """Actor-by-actor valence letters plus the ordered set of letters used."""
+    """Actor-by-actor valence letters, their codes (indices in VALENCES, as
+    uint8) and the ordered set of letters used."""
 
     def __init__(self, actors, cells):
         self.actors = _check_labels(actors)
-        arr = np.array(cells, dtype="<U1")
+        arr = np.array(cells, dtype=str)
         n = len(self.actors)
         if arr.shape != (n, n):
             raise ValidationError("signed matrix must be square over the actors")
-        bad = sorted(set(arr.ravel()) - set(VALENCES))
-        if bad:
-            raise ValidationError(f"unknown valence letters: {bad}")
-        arr.setflags(write=False)
-        self.cells = arr
+        codes = np.full(arr.shape, len(VALENCES), dtype=np.uint8)
+        for c, v in enumerate(VALENCES):
+            codes[arr == v] = c
+        bad = arr[codes == len(VALENCES)]
+        if bad.size:
+            raise ValidationError(f"unknown valence letters: {sorted(set(bad.tolist()))}")
+        codes.setflags(write=False)
+        self.codes = codes
+        self.cells = _LETTERS[codes]
+        self.cells.setflags(write=False)
 
     @property
     def n(self):
@@ -62,8 +61,8 @@ class SignedMatrix:
 
     @property
     def val(self):
-        present = set(self.cells.ravel())
-        return [v for v in VALENCES if v in present]
+        present = np.bincount(self.codes.ravel(), minlength=len(VALENCES))
+        return [v for v, k in zip(VALENCES, present) if k]
 
     def __eq__(self, other):
         if not isinstance(other, SignedMatrix):
@@ -98,8 +97,10 @@ def make_signed(positive, negative):
 class SemiringSpec:
     """Addition and multiplication tables over a valence carrier.
 
-    `add_lut` and `mul_lut` are the same tables as code-indexed arrays,
-    derived once from `add_table` and `mul_table`.
+    Derived once from the tables: `add_lut`, + as a code-indexed array, and
+    over the codes X of the carrier's nonzero letters (`nonzero`), `masks[k,
+    y, m]`, whether X[k] * y = X[m], and `sums[bits]`, the sum of the X[m]
+    whose bit m is set (zero for none).
     """
 
     mode: str
@@ -109,11 +110,22 @@ class SemiringSpec:
     zero: str = "o"
     one: str = "p"
     add_lut: np.ndarray = field(init=False, repr=False, compare=False)
-    mul_lut: np.ndarray = field(init=False, repr=False, compare=False)
+    nonzero: np.ndarray = field(init=False, repr=False, compare=False)
+    masks: np.ndarray = field(init=False, repr=False, compare=False)
+    sums: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "add_lut", _lut(self.add_table))
-        object.__setattr__(self, "mul_lut", _lut(self.mul_table))
+        add, mul = _lut(self.add_table), _lut(self.mul_table)
+        xs = np.array([_CODE[v] for v in self.carrier if v != self.zero], dtype=np.uint8)
+        masks = np.zeros((len(xs), len(VALENCES), len(xs)), dtype=bool)
+        for y in self.carrier:
+            masks[:, _CODE[y]] = mul[xs, _CODE[y], None] == xs
+        sums = np.full(1 << len(xs), _CODE[self.zero], dtype=np.uint8)
+        for bits in range(1, len(sums)):
+            low = (bits & -bits).bit_length() - 1
+            sums[bits] = add[sums[bits & (bits - 1)], xs[low]]
+        for name, value in dict(add_lut=add, nonzero=xs, masks=masks, sums=sums).items():
+            object.__setattr__(self, name, value)
 
     def add(self, x, y):
         return self.add_table[(x, y)]
@@ -218,37 +230,43 @@ def symmetric_closure(s):
     Any letter beats absence; a pure sign beats ambivalence; opposite pure
     signs fuse to ambivalence.
     """
-    c = _encode(s.cells)
+    c = s.codes
     return SignedMatrix(s.actors, _LETTERS[_FUSE[c, c.T]])
 
 
 def _product(a, b, spec):
-    """Semiring product of two code matrices, one gather per middle actor l."""
-    acc = np.full(a.shape, _CODE[spec.zero], dtype=np.uint8)
-    for l in range(len(a)):
-        acc = spec.add_lut[acc, spec.mul_lut[a[:, l, None], b[None, l, :]]]
-    return acc
+    """Semiring product of two n x n code matrices as one boolean product.
 
-
-def _walk_sums(s, spec, semipaths, steps):
-    """Codes of q after up to `steps` steps of q <- q + q*m from q = m.
-
-    m is the matrix, symmetrized first with semipaths. + is idempotent and
-    * distributes over it, so t steps give m + m^2 + ... + m^(t+1); a step
-    that leaves q unchanged leaves every later step unchanged too, and the
-    loop stops there. Also returns whether it stopped on a stable q.
+    Row i of the left operand marks, for each nonzero letter x and middle
+    actor l, whether a[i, l] = x; column (j, z) of the right operand marks
+    whether x * b[l, j] = z. Their product marks, for each nonzero z, the
+    cells (i, j) that some l values z. + is idempotent, commutative and
+    associative, so a cell is the sum of the letters that hit it.
     """
-    extra = set(s.cells.ravel()) - set(spec.carrier)
+    n, nx = len(a), len(spec.nonzero)
+    left = (a[:, None, :] == spec.nonzero[:, None]).reshape(n, nx * n)
+    right = np.take(spec.masks, b, axis=1).reshape(nx * n, n * nx)
+    hits = bool_product(left, right).reshape(n, n, nx)
+    return spec.sums[hits.view(np.uint8) @ (1 << np.arange(nx, dtype=np.uint8))]
+
+
+def _walk_sums(s, spec, semipaths, steps, square=False):
+    """Codes of q after up to `steps` steps from q = m, and whether q is stable.
+
+    m is the matrix, symmetrized first with semipaths. A step sets q <- q + q*m,
+    or q <- q + q*q with square; + is idempotent and * distributes over it, so
+    t steps sum m^1 .. m^(t+1), or m^1 .. m^(2^t). Once a step leaves q
+    unchanged, every later step does too, and the loop stops there.
+    """
+    extra = [v for v in s.val if v not in spec.carrier]
     if extra:
-        raise ComputationError(
-            f"letters {sorted(extra)} are outside the {spec.mode} carrier"
-        )
-    m = _encode(s.cells)
+        raise ComputationError(f"letters {extra} are outside the {spec.mode} carrier")
+    m = s.codes
     if semipaths:
         m = _FUSE[m, m.T]
     q = m
     for _ in range(steps):
-        nxt = spec.add_lut[q, _product(q, m, spec)]
+        nxt = spec.add_lut[q, _product(q, q if square else m, spec)]
         if np.array_equal(nxt, q):
             return q, True
         q = nxt
@@ -260,7 +278,8 @@ def semiring_powers(s, spec=BALANCE, k=2, semipaths=True):
 
     With semipaths the matrix is symmetrized first, so tie direction is
     ignored; k=1 then returns the symmetric closure itself. The sum stops
-    growing once it is stable, so a large k costs no more than the closure.
+    growing once it is stable, so a large k costs one product per walk length
+    up to the length where it settles.
     """
     if k < 1:
         raise ValidationError("k must be at least 1")
@@ -269,13 +288,15 @@ def semiring_powers(s, spec=BALANCE, k=2, semipaths=True):
 
 
 def balance_closure(s, spec=BALANCE, semipaths=True):
-    """Accumulate walk valences until the matrix stops changing."""
-    limit = max(1, s.n * len(spec.carrier))
-    q, stable = _walk_sums(s, spec, semipaths, limit)
+    """Accumulate walk valences until the matrix stops changing.
+
+    Squaring finds a sum stable from walk length L at step ceil(log2 L) + 1;
+    the bound allows that for every L up to n * |carrier|.
+    """
+    limit = (max(1, s.n * len(spec.carrier)) - 1).bit_length() + 1
+    q, stable = _walk_sums(s, spec, semipaths, limit, square=True)
     if not stable:
-        raise NonConvergenceError(
-            f"no stable matrix within {limit} accumulation steps"
-        )
+        raise NonConvergenceError(f"no stable matrix within {limit} doubling steps")
     return SignedMatrix(s.actors, _LETTERS[q])
 
 

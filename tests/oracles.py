@@ -583,6 +583,49 @@ def closure_cells(m, spec, limit):
     return None
 
 
+# Signed matrix algebra one middle actor at a time: each product sums, over
+# every middle actor l, the whole-array gather of a[:, l] * b[l, :]. Letters
+# are coded by their position in the carrier, and the spec's letter tables
+# become lookup arrays over those codes.
+
+
+def _lookup(spec):
+    pos = {v: i for i, v in enumerate(spec.carrier)}
+    add, mul = (
+        np.array([[pos[t[(x, y)]] for y in spec.carrier] for x in spec.carrier], dtype=np.uint8)
+        for t in (spec.add_table, spec.mul_table)
+    )
+    return pos, add, mul
+
+
+def _gather(a, b, zero, add, mul):
+    acc = np.full(a.shape, zero, dtype=np.uint8)
+    for l in range(len(a)):
+        acc = add[acc, mul[a[:, l, None], b[None, l, :]]]
+    return acc
+
+
+def gather_product(a, b, spec):
+    """The semiring product of two letter matrices."""
+    pos, add, mul = _lookup(spec)
+    code = np.vectorize(pos.get, otypes=[np.uint8])
+    return np.array(spec.carrier)[_gather(code(a), code(b), pos[spec.zero], add, mul)]
+
+
+def gather_walk_sums(m, spec, k=None):
+    """m + m^2 + ... + m^k for a letter matrix, by q <- q + q*m from q = m;
+    with k None, until q is stable (which a finite idempotent sum reaches)."""
+    pos, add, mul = _lookup(spec)
+    m = np.vectorize(pos.get, otypes=[np.uint8])(m)
+    q = m
+    for _ in itertools.count() if k is None else range(k - 1):
+        nxt = add[q, _gather(q, m, pos[spec.zero], add, mul)]
+        if np.array_equal(nxt, q):
+            break
+        q = nxt
+    return np.array(spec.carrier)[q]
+
+
 # ---------------------------------------------------------------------------
 # formal concepts
 

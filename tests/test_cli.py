@@ -377,6 +377,16 @@ class TestGalois:
         r = runner.invoke(main, ["filter", files["g20"], "--of", "ATLANTIS"])
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize("command", [["galois"], ["filter", "--of", "1"]])
+    def test_concept_cap_exits_3(self, files, monkeypatch, command):
+        monkeypatch.setenv("RELALG_MAX_CONCEPTS", "3")
+        r = run_process(command[0], files["g20"], *command[1:])
+        assert r.returncode == 3, r.stderr
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: context has more than 3 concepts")
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stdout == ""
+
 
 class TestDot:
     def test_hasse_to_stdout(self, runner, files):

@@ -6,6 +6,7 @@ import oracles
 from conftest import golden
 from relalg import (
     FormalContext,
+    TooManyConceptsError,
     ValidationError,
     concept_order,
     concepts,
@@ -149,6 +150,27 @@ class TestConcepts:
     def test_each_attribute_reduced_to_exactly_one_concept(self, g20, g20_concepts):
         seen = [a for c in g20_concepts for a in c.reduced_attributes]
         assert sorted(seen) == sorted(g20.attributes)
+
+
+class TestConceptCap:
+    def test_cap_stops_the_enumeration(self, g20):
+        assert len(concepts(g20, max_concepts=25)) == 25
+        with pytest.raises(TooManyConceptsError) as exc:
+            concepts(g20, max_concepts=24)
+        assert exc.value.cap == 24
+
+    def test_full_object_set_counts_against_the_cap(self):
+        # the columns give one extent, {g}; the full set {g, h} comes last
+        ctx = FormalContext(["g", "h"], ["m"], [[1], [0]])
+        assert len(concepts(ctx, max_concepts=2)) == 2
+        with pytest.raises(TooManyConceptsError):
+            concepts(ctx, max_concepts=1)
+
+    def test_cap_from_the_environment(self, g20, monkeypatch):
+        monkeypatch.setenv("RELALG_MAX_CONCEPTS", "3")
+        with pytest.raises(TooManyConceptsError):
+            concepts(g20)
+        assert len(concepts(g20, max_concepts=100)) == 25
 
 
 class TestOrder:

@@ -16,7 +16,8 @@ ALL = [
     "Congruence", "DimensionError", "DotDocument", "FormalContext", "MultiplexNetwork",
     "NonConvergenceError", "PiLattice", "PiRelation", "Poset", "PositionalSystem",
     "Reduction", "RelalgError", "RelationBox", "RelationMatrix", "STRONG", "Semigroup",
-    "SemiringSpec", "SignedMatrix", "StringSet", "UndefinedStatisticError",
+    "SemiringSpec", "SignedMatrix", "StringSet", "TooManyConceptsError",
+    "UndefinedStatisticError",
     "ValidationError", "WEAK", "balance_closure", "bipartite_dot", "build_relation_box",
     "build_semigroup", "bundle_census", "bundles", "cayley_dot", "census_from_counts",
     "classify_dyad", "cohesion_reciprocity", "components", "compose", "concept_order",
@@ -64,7 +65,7 @@ class TestNamespace:
             " [n for n in relalg.__all__ if getattr(relalg, n, None) is None]]))"
         )
         assert names == ALL
-        assert len(ALL) == 86 and set(SUBMODULES) <= set(ALL)
+        assert len(ALL) == 87 and set(SUBMODULES) <= set(ALL)
         assert missing == []
 
     def test_star_import_binds_every_name(self):

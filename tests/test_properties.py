@@ -39,6 +39,7 @@ from relalg import (
 from relalg.bundles import bundle_census, relational_system
 from relalg.netcore import _BLOCK_WORDS, bool_product, containment
 from relalg.semigroup import StringSet
+from relalg.signed import VALENCES, _product
 from relalg.decomp import _translations
 from relalg.dot import hasse_dot
 
@@ -611,6 +612,49 @@ class TestLookupEvaluator:
         want = oracles.closure_cells(m, spec, s.n * len(spec.carrier))
         assert want is not None
         assert (balance_closure(s, spec=spec, semipaths=semipaths).cells == want).all()
+
+
+def random_letters(seed, n, letters, density):
+    """n x n cells, each a nonzero letter of letters with probability density, else o."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice([v for v in letters if v != "o"], (n, n))
+    cells[rng.random((n, n)) >= density] = "o"
+    return cells
+
+
+class TestBitsetEvaluator:
+    """Above 32 actors the semiring product runs on packed bitsets; it matches
+    the per-middle-actor gather."""
+
+    # dense and sparse letter sets; at density .03 the shortest walks grow
+    # long, so the walk sums go on changing for many powers
+    CASE = st.tuples(
+        st.integers(0, 2**32 - 1),
+        st.integers(33, 70),
+        st.sampled_from([("pona", BALANCE), ("pona", CLUSTER), ("ponaq", CLUSTER)]),
+        st.sampled_from([1.0, 0.3, 0.03]),
+    )
+
+    @settings(max_examples=40, **COMMON)
+    @given(CASE)
+    def test_product_matches_gather(self, case):
+        seed, n, (letters, spec), density = case
+        a, b = (random_letters(seed + i, n, letters, density) for i in (0, 1))
+        codes = [SignedMatrix(actor_names(n), x).codes for x in (a, b)]
+        got = np.array(VALENCES)[_product(*codes, spec)]
+        assert (got == oracles.gather_product(a, b, spec)).all()
+
+    @settings(max_examples=25, **COMMON)
+    @given(CASE, st.booleans())
+    def test_powers_and_closure_match_gather(self, case, semipaths):
+        seed, n, (letters, spec), density = case
+        s = SignedMatrix(actor_names(n), random_letters(seed, n, letters, density))
+        m = oracles.symmetric_cells(s.cells) if semipaths else s.cells
+        for k in (1, 2, 3, 5):
+            got = semiring_powers(s, spec=spec, k=k, semipaths=semipaths)
+            assert (got.cells == oracles.gather_walk_sums(m, spec, k)).all()
+        got = balance_closure(s, spec=spec, semipaths=semipaths)
+        assert (got.cells == oracles.gather_walk_sums(m, spec)).all()
 
 
 @st.composite

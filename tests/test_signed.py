@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import pytest
 
 import oracles
 from conftest import golden
+from relalg import signed
 from relalg import (
     BALANCE,
     CLUSTER,
@@ -69,6 +71,17 @@ class TestConstruction:
     def test_unknown_letter_rejected(self):
         with pytest.raises(ValidationError):
             SignedMatrix(["a", "b"], [["o", "z"], ["o", "o"]])
+
+    def test_multi_letter_cell_rejected(self):
+        # a cell is one letter; "pn" is not read as its first letter
+        with pytest.raises(ValidationError) as exc:
+            SignedMatrix(["a", "b"], [["pn", "o"], ["o", "n"]])
+        assert str(exc.value) == "unknown valence letters: ['pn']"
+
+    def test_unknown_letters_are_listed_whole_as_plain_strings(self):
+        with pytest.raises(ValidationError) as exc:
+            SignedMatrix(["a", "b"], [["xyz", "z"], ["", "z"]])
+        assert str(exc.value) == "unknown valence letters: ['', 'xyz', 'z']"
 
     def test_shape_must_be_square(self):
         with pytest.raises(ValidationError):
@@ -165,8 +178,9 @@ class TestSemiringPowers:
 
     def test_q_valence_refused_outside_cluster_mode(self):
         s = SignedMatrix(["a", "b"], [["o", "q"], ["o", "o"]])
-        with pytest.raises(ComputationError):
+        with pytest.raises(ComputationError) as exc:
             semiring_powers(s, spec=BALANCE, k=2)
+        assert str(exc.value) == "letters ['q'] are outside the balance carrier"
         semiring_powers(s, spec=CLUSTER, k=2)
 
     @pytest.mark.parametrize("spec", [BALANCE, CLUSTER], ids=["balance", "cluster"])
@@ -236,6 +250,26 @@ class TestBalanceClosure:
                 assert q.cells[i, j] == "p"
         verdict = is_balanced(q)
         assert verdict and verdict.groups == (("v",), ("x", "y", "z"))
+
+    @pytest.mark.parametrize("spec", [BALANCE, CLUSTER], ids=["balance", "cluster"])
+    @pytest.mark.parametrize("semipaths", [True, False], ids=["semipaths", "paths"])
+    def test_long_alternating_path_closes_by_squaring(self, spec, semipaths, monkeypatch):
+        # a path of 70 actors, signs alternating: its ends meet only by a walk
+        # of length 69, and the squared sum reaches it within the bound
+        n = 70
+        cells = [["o"] * n for _ in range(n)]
+        for i in range(n - 1):
+            cells[i][i + 1] = "pn"[i % 2]
+        s = SignedMatrix([f"a{i}" for i in range(n)], cells)
+        m = oracles.symmetric_cells(s.cells) if semipaths else s.cells
+        assert oracles.gather_walk_sums(m, spec, 68)[0, n - 1] == "o"
+        products = []
+        real = signed._product
+        monkeypatch.setattr(signed, "_product", lambda *a: products.append(1) or real(*a))
+        got = balance_closure(s, spec=spec, semipaths=semipaths)
+        assert (got.cells == oracles.gather_walk_sums(m, spec)).all()
+        assert got.cells[0, n - 1] != "o"
+        assert len(products) <= math.ceil(math.log2(n * len(spec.carrier))) + 1
 
 
 class TestVerdicts:
