@@ -150,11 +150,12 @@ def semigroup(network, symbolic, transposes, max_elements, out):
     """Close the network relations under composition and print the table."""
     strings = generate_strings(network, include_transposes=transposes, max_elements=max_elements)
     sg = build_semigroup(strings, "symbolic" if symbolic else "numerical")
+    data = sg.to_dict()
     if out:
-        _write(out, json.dumps(sg.to_dict(), indent=1))
+        _write(out, json.dumps(data, indent=1))
     click.echo(f"order: {sg.order}")
     click.echo("st: " + " ".join(sg.st))
-    _print_matrix(sg.st, sg.st, sg.table)
+    _print_matrix(sg.st, sg.st, data["table"])
     if out:
         click.echo(f"wrote {out}")
 

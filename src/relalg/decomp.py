@@ -31,11 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .netcore import containment
+from .netcore import _BLOCK_CELLS, containment
 from .semigroup import Poset, transitive_closure
-
-# Cells in one block of relations that are closed together.
-_BLOCK_CELLS = 1 << 20
 
 # Each table's translations; a Semigroup does not change once built.
 _TRANSLATIONS = weakref.WeakKeyDictionary()
@@ -86,7 +83,7 @@ def _translations(sg):
         return _TRANSLATIONS[sg]
     n = sg.order
     t = sg._idx
-    gens = sorted({g for _, g in sg.generator_elements() if g is not None})
+    gens = sorted({g for _, g in sg.generator_elements()})
     reached = np.zeros(n, dtype=bool)
     reached[gens] = True
     frontier = np.asarray(gens, dtype=int)

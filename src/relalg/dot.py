@@ -103,9 +103,7 @@ def bipartite_dot(ctx):
     lines.append("  node [shape=ellipse];")
     for m in ctx.attributes:
         lines.append(f"  {_q(m)};")
-    for i, g in enumerate(ctx.objects):
-        for j, m in enumerate(ctx.attributes):
-            if ctx.incidence[i, j]:
-                lines.append(f"  {_q(g)} -- {_q(m)};")
+    for i, j in np.argwhere(ctx.incidence).tolist():
+        lines.append(f"  {_q(ctx.objects[i])} -- {_q(ctx.attributes[j])};")
     lines.append("}")
     return DotDocument("bipartite", "\n".join(lines) + "\n")

@@ -14,7 +14,7 @@ import io
 import numpy as np
 
 from .errors import TooManyConceptsError, ValidationError, read_cap
-from .netcore import _check_labels, bool_product, bool_rows, containment, string_list
+from .netcore import _array, _check_labels, bool_product, bool_rows, containment, string_list
 from .semigroup import Poset
 
 # ConceptOrder holds C x C bools: 400 MB at this many concepts.
@@ -27,8 +27,8 @@ class FormalContext:
     def __init__(self, objects, attributes, incidence):
         self.objects = _check_labels(objects, "object")
         self.attributes = _check_labels(attributes, "attribute")
-        arr = np.asarray(incidence, dtype=bool)
-        if arr.shape != (len(self.objects), len(self.attributes)):
+        arr = _array(incidence, bool)
+        if arr is None or arr.shape != (len(self.objects), len(self.attributes)):
             raise ValidationError("incidence shape must be objects x attributes")
         arr.setflags(write=False)
         self.incidence = arr

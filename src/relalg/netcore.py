@@ -16,10 +16,12 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 
 
-def _freeze(cells):
-    arr = np.asarray(cells, dtype=bool)
-    arr.setflags(write=False)
-    return arr
+def _array(cells, dtype):
+    """cells as an array, or None when its rows are ragged."""
+    try:
+        return np.asarray(cells, dtype=dtype)
+    except ValueError:
+        return None
 
 
 def _check_labels(labels, what="actor"):
@@ -34,13 +36,12 @@ class RelationMatrix:
     def __init__(self, name, actors, cells):
         self.name = str(name)
         self.actors = _check_labels(actors)
-        self.cells = _freeze(cells)
+        self.cells = _array(cells, bool)
         n = len(self.actors)
-        if self.cells.shape != (n, n):
-            raise DimensionError(
-                f"relation {self.name!r}: cells are {self.cells.shape}, "
-                f"expected {(n, n)}"
-            )
+        if self.cells is None or self.cells.shape != (n, n):
+            found = "ragged" if self.cells is None else self.cells.shape
+            raise DimensionError(f"relation {self.name!r}: cells are {found}, expected {(n, n)}")
+        self.cells.setflags(write=False)
 
     @classmethod
     def from_ties(cls, name, actors, ties):
@@ -129,6 +130,8 @@ _SMALL = 32
 # uint64 words in the bitset product's accumulator, and again in its scratch,
 # so that the two together stay at 1 MiB.
 _BLOCK_WORDS = 1 << 16
+# Cells in one block of matrices that are multiplied or closed together.
+_BLOCK_CELLS = 1 << 20
 
 
 def _pack(x):

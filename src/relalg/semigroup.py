@@ -7,7 +7,9 @@ enumerated by length and, within a length, by generator position, so the
 first word to hit a new image is that image's representative.
 
 The representatives form a word tree: each word is a letter or a shorter
-representative followed by one letter. The closure keeps ``right[i, a]``,
+representative followed by one letter. The closure grows the tree a level
+at a time, with one boolean product per block of a level: the level's
+images stacked against every letter side by side. It keeps ``right[i, a]``,
 the index of element i times letter a (the right Cayley graph of Froidure
 and Pin), and the table follows from it column by column, since x(pa) =
 (xp)a. No product of two elements is ever formed. Word equations and
@@ -19,7 +21,8 @@ import numpy as np
 
 from .errors import ClosureTooLargeError, ValidationError, read_cap
 from .netcore import (
-    _check_labels, bool_product, bool_rows, containment, permutation_order, string_list,
+    _BLOCK_CELLS, _array, _check_labels, bool_product, bool_rows, containment,
+    permutation_order, string_list,
 )
 
 DEFAULT_MAX_CLOSURE = 100_000
@@ -32,17 +35,14 @@ def _closure_cap(max_elements):
 class StringSet:
     """The distinct string relations of a network, closed under composition."""
 
-    def __init__(self, actors, alphabet, words, images, generator_elements=None, right=None):
+    def __init__(self, actors, alphabet, words, images, generator_elements, right):
         self.actors = tuple(actors)
         self.alphabet = tuple(alphabet)          # letter labels, in lex order
         self.words = tuple(tuple(w) for w in words)
         self.images = tuple(images)              # one boolean matrix per word
         self.st = tuple("".join(w) for w in self.words)
-        if generator_elements is None:
-            pos = {w: i for i, w in enumerate(self.words)}
-            generator_elements = [(lbl, pos.get((lbl,))) for lbl in self.alphabet]
-        self.generator_elements = tuple(generator_elements)
-        self.right = right                       # N x |alphabet| indices, or None
+        self.generator_elements = tuple(generator_elements)  # (letter, element index)
+        self.right = right                       # element i times letter a, N x |alphabet|
 
     @property
     def order(self):
@@ -53,8 +53,10 @@ def generate_strings(net, include_transposes=False, max_elements=None):
     """Breadth-first closure of the generator slices under composition.
 
     Seeds with the generators (and their transposes when asked), then
-    right-multiplies every known representative by every generator. A word
-    becomes a representative iff its image matrix was not seen before.
+    right-multiplies each level of new representatives by every generator,
+    the whole level in one product. A word becomes a representative iff its
+    image matrix was not seen before. Raises ClosureTooLargeError as soon as
+    the closure would hold more than max_elements elements.
     """
     return _closure(net, include_transposes, _closure_cap(max_elements))
 
@@ -62,7 +64,10 @@ def generate_strings(net, include_transposes=False, max_elements=None):
 def _closure(net, include_transposes, cap, depth=None):
     """The closure, expanding only elements whose word is shorter than depth.
 
-    Images are read-only, so words mapped to one element may share its array.
+    Expands a level at a time: each block of the level's images, stacked, is
+    multiplied once by every letter laid side by side, and the products are
+    kept in (element, letter) order, so the first word to reach an image is
+    still its representative. Images are read-only and may be shared.
     """
     letters = [(s.name, s.cells) for s in net.slices]
     if include_transposes:
@@ -73,39 +78,50 @@ def _closure(net, include_transposes, cap, depth=None):
                 f"{taken[0][1:]!r}; rename it to use transposes"
             )
         letters += [("t" + s.name, s.cells.T) for s in net.slices]
-    words = []
-    images = []
-    seen = {}
-    gen_elements = []
-    for name, cells in letters:
-        key = cells.tobytes()
+    alphabet = [name for name, _ in letters]
+    n, nl = net.n, len(letters)
+    words, images, seen, gen_elements = [], [], {}, []
+    for (name, cells), key in zip(letters, _keys(np.array([c for _, c in letters]))):
         if key not in seen:
             seen[key] = len(words)
             words.append((name,))
             images.append(cells)
         gen_elements.append((name, seen[key]))
-    frontier = list(range(len(words)))
-    right = []                                   # row i is filled when i is expanded
-    while frontier and (depth is None or len(words[frontier[0]]) < depth):
-        nxt = []
-        for i in frontier:
-            row = []
-            for name, cells in letters:
-                img = bool_product(images[i], cells)
-                key = img.tobytes()
+    if len(words) > cap:
+        raise ClosureTooLargeError(cap + 1, cap)
+    side_by_side = np.concatenate([cells for _, cells in letters], axis=1)
+    block = max(1, _BLOCK_CELLS // (n * n * nl or 1))
+    frontier, start, right = np.array(images), 0, []
+    while len(frontier) and (depth is None or len(words[start]) < depth):
+        admitted = []
+        for b in range(start, start + len(frontier), block):
+            part = frontier[b - start:b - start + block]
+            prod = bool_product(part.reshape(len(part) * n, n), side_by_side)
+            prod = prod.reshape(len(part), n, nl, n).swapaxes(1, 2).reshape(len(part) * nl, n, n)
+            fresh = []
+            for c, key in enumerate(_keys(prod)):
                 if key not in seen:
                     if len(words) >= cap:
                         raise ClosureTooLargeError(len(words) + 1, cap)
                     seen[key] = len(words)
-                    nxt.append(len(words))
-                    words.append(words[i] + (name,))
-                    img.setflags(write=False)
-                    images.append(img)
-                row.append(seen[key])
-            right.append(row)
-        frontier = nxt
-    alphabet = [name for name, _ in letters]
-    return StringSet(net.actors, alphabet, words, images, gen_elements, np.array(right))
+                    words.append(words[b + c // nl] + (alphabet[c % nl],))
+                    fresh.append(c)
+                right.append(seen[key])
+            admitted.append(prod[fresh])
+        start += len(frontier)
+        frontier = np.concatenate(admitted)
+        frontier.setflags(write=False)
+        images.extend(frontier)
+    right = np.array(right, dtype=int).reshape(-1, nl)
+    return StringSet(net.actors, alphabet, words, images, gen_elements, right)
+
+
+def _keys(stack):
+    """One bytes key per matrix of a stack: its cells packed 8 to a byte."""
+    rows = np.packbits(stack.reshape(len(stack), stack.shape[1] * stack.shape[2]), axis=1)
+    if not rows.shape[1]:                        # matrices over no actors
+        return [b""] * len(rows)
+    return rows.view(f"V{rows.shape[1]}").ravel().tolist()
 
 
 class Semigroup:
@@ -132,12 +148,12 @@ class Semigroup:
     @property
     def table(self):
         if self.format == "numerical":
-            return [[int(x) + 1 for x in row] for row in self._idx]
-        return [[self.st[x] for x in row] for row in self._idx]
+            return (self._idx + 1).tolist()
+        return np.array(self.st, dtype=object)[self._idx].tolist()
 
     def index_table(self):
         """The 0-based index table (a copy safe to mutate)."""
-        return [[int(x) for x in row] for row in self._idx]
+        return self._idx.tolist()
 
     def product(self, i, j):
         """0-based index of element i composed with element j."""
@@ -156,39 +172,22 @@ class Semigroup:
         }
 
 
-def _right_translations(strings):
-    """right[i, a] by one image lookup each; -1 for a letter with no element."""
-    by_key = {img.tobytes(): i for i, img in enumerate(strings.images)}
-    right = np.full((strings.order, len(strings.generator_elements)), -1)
-    for a, (letter, g) in enumerate(strings.generator_elements):
-        for i, img in enumerate(strings.images if g is not None else ()):
-            key = bool_product(img, strings.images[g]).tobytes()
-            if key not in by_key:
-                raise ValidationError(
-                    f"product {strings.st[i]}*{letter} left the string set; "
-                    "input was not a closed StringSet"
-                )
-            right[i, a] = by_key[key]
-    return right
-
-
 def build_semigroup(strings, fmt="numerical"):
     """Multiplication table over a closed string set, one column per element.
 
     Walks ``right`` breadth first: a generator's column is ``right[:, a]``, an
     element first reached as p times letter a gets ``right[T[:, p], a]``.
     """
-    right = strings.right if strings.right is not None else _right_translations(strings)
     n = strings.order
     idx = np.empty((n, n), dtype=int)
-    reached = {None, -1}                         # a letter with no element
+    reached = set()
     edges = [(np.arange(n), a, g) for a, (_, g) in enumerate(strings.generator_elements)]
     for col, a, j in edges:                      # grows as elements are reached
         if j not in reached:
             reached.add(j)
-            idx[:, j] = right[col, a]
-            edges += [(idx[:, j], b, k) for b, k in enumerate(right[j].tolist())]
-    if len(reached) < n + 2:
+            idx[:, j] = strings.right[col, a]
+            edges += [(idx[:, j], b, k) for b, k in enumerate(strings.right[j].tolist())]
+    if len(reached) < n:
         missing = strings.st[min(set(range(n)) - reached)]
         raise ValidationError(f"{missing} is not a product of letters; not a closed StringSet")
     return Semigroup(strings.st, strings.generator_elements, idx, fmt)
@@ -276,11 +275,11 @@ class Poset:
 
     def __init__(self, labels, matrix):
         self.labels = _check_labels(labels, "element")
-        self.matrix = np.asarray(matrix, dtype=bool)
-        self.matrix.setflags(write=False)
+        self.matrix = _array(matrix, bool)
         n = len(self.labels)
-        if self.matrix.shape != (n, n):
+        if self.matrix is None or self.matrix.shape != (n, n):
             raise ValidationError("order matrix must be square over the labels")
+        self.matrix.setflags(write=False)
 
     @property
     def n(self):

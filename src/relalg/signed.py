@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComputationError, NonConvergenceError, ValidationError
-from .netcore import _check_labels, bool_product, connected_components
+from .netcore import _array, _check_labels, bool_product, connected_components
 
 VALENCES = ("p", "o", "n", "a", "q")
 _CODE = {v: i for i, v in enumerate(VALENCES)}
@@ -40,9 +40,9 @@ class SignedMatrix:
 
     def __init__(self, actors, cells):
         self.actors = _check_labels(actors)
-        arr = np.array(cells, dtype=str)
+        arr = _array(cells, str)
         n = len(self.actors)
-        if arr.shape != (n, n):
+        if arr is None or arr.shape != (n, n):
             raise ValidationError("signed matrix must be square over the actors")
         codes = np.full(arr.shape, len(VALENCES), dtype=np.uint8)
         for c, v in enumerate(VALENCES):

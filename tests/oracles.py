@@ -132,10 +132,12 @@ def relational_system(actors, slices, wanted):
 
 
 def string_closure(letters):
-    """(st, generator elements) of the breadth-first closure of (name, matrix) letters.
+    """(st, generator elements, right Cayley graph) of the breadth-first closure
+    of (name, matrix) letters.
 
     Every image, in discovery order, is multiplied by every letter in turn; a
-    product with a new image becomes a representative named by its word.
+    product with a new image becomes a representative named by its word, and
+    right[i][a] is the index of image i times letter a.
     """
     st, images, seen, gens = [], [], {}, []
     for name, cells in letters:
@@ -144,16 +146,19 @@ def string_closure(letters):
             st.append(name)
             images.append(cells)
         gens.append((name, seen[cells.tobytes()]))
+    right = []
     i = 0
     while i < len(images):
+        right.append([])
         for name, cells in letters:
             img = images[i] @ cells
             if img.tobytes() not in seen:
                 seen[img.tobytes()] = len(st)
                 st.append(st[i] + name)
                 images.append(img)
+            right[i].append(seen[img.tobytes()])
         i += 1
-    return st, gens
+    return st, gens, right
 
 
 def word_images(letters, k):

@@ -114,6 +114,34 @@ def test_repeated_labels_rejected(case):
         REPEATED_LABELS[case]()
 
 
+RAGGED_ROWS = {
+    "relation-matrix": (
+        lambda: RelationMatrix("R", ["a", "b"], [[1, 0], [0]]),
+        DimensionError, r"relation 'R': cells are ragged, expected \(2, 2\)",
+    ),
+    "signed-matrix": (
+        lambda: SignedMatrix(["a", "b"], [["p", "o"], ["o"]]),
+        ValidationError, "signed matrix must be square over the actors",
+    ),
+    "formal-context": (
+        lambda: FormalContext(["g", "h"], ["m", "n"], [[1, 0], [0]]),
+        ValidationError, "incidence shape must be objects x attributes",
+    ),
+    "poset": (
+        lambda: Poset(["a", "b"], [[1, 0], [1]]),
+        ValidationError, "order matrix must be square over the labels",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAGGED_ROWS))
+def test_ragged_rows_raise_the_shape_error(case):
+    build, error, message = RAGGED_ROWS[case]
+    with pytest.raises(error, match=f"^{message}$") as err:
+        build()
+    assert type(err.value) is error
+
+
 class TestNetwork:
     def test_requires_a_slice(self):
         with pytest.raises(ValidationError):

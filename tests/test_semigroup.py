@@ -76,6 +76,18 @@ class TestGenerateStrings:
             generate_strings(ncc, max_elements=5)
         assert err.value.cap == 5
 
+    @pytest.mark.parametrize("transposes", [False, True])
+    @pytest.mark.parametrize("fixture", ["ncc", "netcs"])
+    def test_every_cap_below_the_order_raises_at_cap_plus_one(
+        self, fixture, transposes, request
+    ):
+        net = request.getfixturevalue(fixture)
+        order = generate_strings(net, include_transposes=transposes).order
+        for cap in range(1, order):
+            with pytest.raises(ClosureTooLargeError) as err:
+                generate_strings(net, include_transposes=transposes, max_elements=cap)
+            assert (err.value.count, err.value.cap) == (cap + 1, cap)
+
     def test_cap_from_environment(self, ncc, monkeypatch):
         monkeypatch.setenv("RELALG_MAX_CLOSURE", "4")
         with pytest.raises(ClosureTooLargeError):
@@ -86,6 +98,13 @@ class TestGenerateStrings:
     def test_generator_elements(self, netcs):
         st = generate_strings(netcs)
         assert st.generator_elements == (("C", 0), ("F", 1), ("K", 2))
+
+    def test_network_over_no_actors(self):
+        empty = np.zeros((0, 0), dtype=bool)
+        net = MultiplexNetwork([], [RelationMatrix(c, [], empty) for c in "AB"])
+        st = generate_strings(net)
+        assert st.st == ("A",) and st.right.tolist() == [[0, 0]]
+        assert build_semigroup(st).table == [[1]]
 
     def test_duplicate_generator_images_collapse(self):
         actors = ["a", "b"]
@@ -119,13 +138,14 @@ class TestBuildSemigroup:
             build_semigroup(generate_strings(netcs), "roman")
 
     def test_unclosed_input_rejected(self, ncc):
+        # a right Cayley graph that leaves every element but the letters unreached
         st = generate_strings(ncc)
-        truncated = StringSet(
-            st.actors, st.alphabet, st.words[:5], st.images[:5],
-            st.generator_elements,
+        unreached = StringSet(
+            st.actors, st.alphabet, st.words, st.images, st.generator_elements,
+            np.zeros_like(st.right),
         )
-        with pytest.raises(ValidationError):
-            build_semigroup(truncated)
+        with pytest.raises(ValidationError, match="not a product of letters"):
+            build_semigroup(unreached)
 
     def test_associativity_of_the_closure(self, netcs):
         sg = build_semigroup(generate_strings(netcs))
@@ -209,7 +229,7 @@ class TestEquations:
         assert equations(ncc, 2)
 
     def test_words_take_no_products(self, ncc, monkeypatch):
-        # only the closure multiplies: 3 letters times the 16 elements shorter than 6
+        # only the closure multiplies, one product per level below 6
         calls = []
         product = semigroup.bool_product
 
@@ -219,7 +239,7 @@ class TestEquations:
 
         monkeypatch.setattr(semigroup, "bool_product", counted)
         equations(ncc, 6)
-        assert 0 < len(calls) <= 48
+        assert 0 < len(calls) <= 5
 
 
 class TestPartialOrder:
