@@ -5,16 +5,15 @@ of actors. Seven classes cover all possibilities; the reciprocal-flavored
 ones (reciprocal, exchange, mixed, full) are "strong" bonds, the one-way
 ones (asymmetric, entrainment) are "weak" bonds.
 
-`classify_dyad` is the specification. The census and the bond systems
-classify every pair at once from three counts per ordered pair (i, j): f,
-the slices with i -> j; b = f transposed; and both, the slices with ties
-both ways. classify_dyad's rules, in its order, become masks: null when
-f = b = 0; asymmetric or entrainment when one side is 0 and the other 1 or
-more; full when f = b = r; reciprocal when f = b = both = 1; exchange when
-both = 0; mixed otherwise. Counts are of the smallest dtype that holds r,
-so every work array keeps one byte a cell below 256 slices.
+`classify_dyad` is the only statement of the class rules. Each ordered
+pair is keyed by its slice counts each way (0, 1, between or all r) and
+both ways (0, 1, 2 or more). The class depends on the key alone, so
+classify_dyad fills a 48-entry table, and one lookup classifies every
+pair. Counts are of the smallest dtype that holds r, so none wraps.
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -106,30 +105,40 @@ class BundleCensus:
         return head + "\n" + row
 
 
-def _pair_classes(net):
-    """n x n int8 array of class codes (indices into CLASSES), symmetric."""
+def _key(f, b, both, r):
+    """uint8 key, 0 to 47, of slice counts each way and both ways (scalars or arrays)."""
+    f, b = (np.add(c > 0, c > 1, dtype=np.uint8) + (c == r) for c in (f, b))
+    return (f * 4 + b) * 3 + np.add(both > 0, both > 1, dtype=np.uint8)
+
+
+@functools.cache
+def _class_table(r):
+    """Class codes (indices into CLASSES) by key; keys that no pair can have stay NULL."""
+    table = np.zeros(48, dtype=np.int8)
+    for f, b, both in itertools.product((0, 1, 2, r), repeat=3):
+        if both <= min(f, b) and f + b - both <= r:  # some pair has these counts
+            pattern = DyadPattern((0, 1), range(f), [*range(both), *range(f, f + b - both)])
+            table[_key(f, b, both, r)] = CLASSES.index(classify_dyad(pattern, r))
+    table.setflags(write=False)
+    return table
+
+
+def _pair_keys(net):
+    """n x n keys of the ordered pairs, and the class code of each key."""
     r = len(net.slices)
     f = np.zeros((net.n, net.n), dtype=np.min_scalar_type(r))
     both = np.zeros_like(f)
     for s in net.slices:
         f += s.cells
         both += s.cells & s.cells.T
-    hi, lo = np.maximum(f, f.T), np.minimum(f, f.T)
-    codes = np.full(f.shape, CLASSES.index(MIXD), dtype=np.int8)
-    # classify_dyad's rules in reverse, so the first rule that holds wins
-    codes[both == 0] = CLASSES.index(TXCH)
-    codes[(hi == 1) & (both == 1)] = CLASSES.index(RECP)
-    codes[lo == r] = CLASSES.index(FULL)
-    codes[(lo == 0) & (hi > 1)] = CLASSES.index(TENT)
-    codes[(lo == 0) & (hi == 1)] = CLASSES.index(ASYM)
-    codes[hi == 0] = CLASSES.index(NULL)
-    return codes
+    return _key(f, f.T, both, r), _class_table(r)
 
 
 def bundle_census(net):
     """Count every unordered pair's bundle class. Diagonals are ignored."""
-    upper = ~np.tri(net.n, dtype=bool)
-    counts = np.bincount(_pair_classes(net)[upper], minlength=len(CLASSES))
+    keys, table = _pair_keys(net)
+    per_key = np.bincount(keys.ravel(), minlength=48) - np.bincount(keys.diagonal(), minlength=48)
+    counts = np.bincount(table, weights=per_key, minlength=len(CLASSES)).astype(int) // 2
     return BundleCensus(n=net.n, counts=dict(zip(CLASSES, counts.tolist())))
 
 
@@ -157,13 +166,14 @@ def relational_system(net, bonds):
     if not bonds:
         raise ValidationError("bond selection must not be empty")
     wanted = [CLASSES.index(c) for c in _expand_bonds(bonds)]
-    keep = np.isin(_pair_classes(net), wanted)
+    keys, table = _pair_keys(net)
+    keep = np.isin(table, wanted).take(keys)
     np.fill_diagonal(keep, False)
     idx = np.flatnonzero(keep.any(axis=1))
     actors = [net.actors[i] for i in idx]
-    sub = np.ix_(idx, idx)
+    keep = keep[idx][:, idx]
     return MultiplexNetwork(
-        actors, [RelationMatrix(s.name, actors, s.cells[sub] & keep[sub]) for s in net.slices]
+        actors, [RelationMatrix(s.name, actors, s.cells[idx][:, idx] & keep) for s in net.slices]
     )
 
 

@@ -179,18 +179,18 @@ def build_semigroup(strings, fmt="numerical"):
     element first reached as p times letter a gets ``right[T[:, p], a]``.
     """
     n = strings.order
-    idx = np.empty((n, n), dtype=int)
+    cols = np.empty((n, n), dtype=int)           # the transpose, filled by rows
     reached = set()
     edges = [(np.arange(n), a, g) for a, (_, g) in enumerate(strings.generator_elements)]
     for col, a, j in edges:                      # grows as elements are reached
         if j not in reached:
             reached.add(j)
-            idx[:, j] = strings.right[col, a]
-            edges += [(idx[:, j], b, k) for b, k in enumerate(strings.right[j].tolist())]
+            cols[j] = strings.right[col, a]
+            edges += [(cols[j], b, k) for b, k in enumerate(strings.right[j].tolist())]
     if len(reached) < n:
         missing = strings.st[min(set(range(n)) - reached)]
         raise ValidationError(f"{missing} is not a product of letters; not a closed StringSet")
-    return Semigroup(strings.st, strings.generator_elements, idx, fmt)
+    return Semigroup(strings.st, strings.generator_elements, np.ascontiguousarray(cols.T), fmt)
 
 
 def semigroup_from_dict(data):

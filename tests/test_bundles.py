@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,7 +99,7 @@ def subsets(items):
 class TestPairClasses:
     """The census classifies from slice counts; classify_dyad is the spec."""
 
-    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
     def test_every_slice_pattern_of_one_dyad(self, r):
         names = [f"S{s}" for s in range(r)]
         for fwd, bwd in itertools.product(subsets(names), repeat=2):
@@ -130,8 +131,14 @@ class TestPairClasses:
                 for s in range(r)
             ],
         )
-        counts = bundle_census(net).counts
+        tracemalloc.start()
+        try:
+            counts = bundle_census(net).counts
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert counts == {c: int(c in (NULL, ASYM, FULL)) for c in CLASSES}
+        assert peak < 2**20  # no table that grows with r
         system = relational_system(net, ["full"])
         assert system.actors == ("a0", "a1")
         assert all(np.array_equal(s.cells, [[0, 1], [1, 0]]) for s in system.slices)

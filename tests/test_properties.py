@@ -206,7 +206,7 @@ class TestStackClosure:
 
 class TestCensus:
     @settings(**COMMON)
-    @given(network(max_n=12, max_slices=4))
+    @given(network(max_n=12, max_slices=6))
     def test_counts_agree_with_dyad_walk(self, net):
         got = bundle_census(net).counts
         ties = {s.name: pairs_of(s.cells) for s in net.slices}
@@ -228,7 +228,7 @@ class TestRelationalSystem:
 
     @settings(max_examples=150, **COMMON)
     @given(
-        network(max_n=9, max_slices=4),
+        network(max_n=9, max_slices=6),
         st.lists(st.sampled_from(BOND_SELECTORS), min_size=1, max_size=3),
     )
     def test_matches_per_pair_walk(self, net, bonds):
