@@ -21,8 +21,8 @@ _EXPORTS = {
     "decomp": "Congruence PiLattice PiRelation Reduction decompose factorize "
     "find_congruences is_congruence",
     "dot": "DotDocument bipartite_dot cayley_dot hasse_dot multigraph_dot",
-    "errors": "ClosureTooLargeError ComputationError DimensionError NonConvergenceError "
-    "RelalgError TooManyConceptsError UndefinedStatisticError ValidationError",
+    "errors": "ClosureTooLargeError ComputationError DecompositionTooLargeError DimensionError "
+    "NonConvergenceError RelalgError TooManyConceptsError UndefinedStatisticError ValidationError",
     "fca": "Concept ConceptOrder Concepts FormalContext concept_order concepts derive "
     "extent filter_ideal",
     "netcore": "MultiplexNetwork RelationMatrix components compose network_from_dict "

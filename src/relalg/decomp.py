@@ -30,9 +30,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DecompositionTooLargeError, ValidationError, read_cap
 from .netcore import _BLOCK_CELLS, containment
 from .semigroup import Poset, transitive_closure
+
+# Bytes a search may hold: the pair graph's gather, then an n x n result for
+# each component that may need its own close (most do, on large tables).
+DEFAULT_MAX_DECOMP_BYTES = 2**30
+_EDGE_BYTES = 12   # the gather's peak per edge entry: int32 indices, targets, their sort
 
 # Each table's translations; a Semigroup does not change once built.
 _TRANSLATIONS = weakref.WeakKeyDictionary()
@@ -88,8 +93,9 @@ def _translations(sg):
     reached[gens] = True
     frontier = np.asarray(gens, dtype=int)
     while frontier.size:
-        step = np.unique(t[np.ix_(frontier, gens)])
-        frontier = step[~reached[step]]
+        step = np.zeros(n, dtype=bool)
+        step[t[np.ix_(frontier, gens)]] = True
+        frontier = np.flatnonzero(step & ~reached)
         reached[frontier] = True
     if not reached.all():
         gens = list(range(n))
@@ -137,7 +143,20 @@ def _components(succ):
     return comp[:size]
 
 
-def _pair_pass(maps, start, ids, xs, ys, close):
+def _distinct(a):
+    """The distinct values of an int array, ascending."""
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
+def _budget(need, cap):
+    if need > cap:
+        raise DecompositionTooLargeError(need, cap)
+
+
+def _pair_pass(maps, start, ids, xs, ys, close, max_bytes=None):
     """Each seed pair's result, in one pass over the pair graph.
 
     Node i is the pair (xs[i], ys[i]), with an edge to each translate
@@ -150,8 +169,14 @@ def _pair_pass(maps, start, ids, xs, ys, close):
     else `close` of `start`, the results below and the component's pairs,
     a level of components at a time, in blocks of at most _BLOCK_CELLS
     cells. Returns the distinct results and each node's index among them.
+
+    Raises DecompositionTooLargeError, before the gather and again once the
+    components are known, when the bytes they would take exceed the cap:
+    max_bytes, else RELALG_MAX_DECOMP_BYTES, else DEFAULT_MAX_DECOMP_BYTES.
     """
     n, size = len(start), len(xs)
+    cap = read_cap(max_bytes, "RELALG_MAX_DECOMP_BYTES", DEFAULT_MAX_DECOMP_BYTES)
+    _budget(_EDGE_BYTES * size * len(maps), cap)
     succ = np.sort(ids[maps[:, xs], maps[:, ys]], axis=0)
     keep = (succ >= 0) & (succ != np.arange(size))   # no edges into start, no self-loops
     keep[1:] &= succ[1:] != succ[:-1]
@@ -159,8 +184,9 @@ def _pair_pass(maps, start, ids, xs, ys, close):
     del succ, keep   # k entries a node: large without generators
     edges, ends = memoryview(targets), np.cumsum(counts).tolist()   # views, not lists of ints
     comp = np.array(_components([edges[lo:hi] for lo, hi in zip([0] + ends, ends)]), dtype=int)
-    count = comp.max(initial=-1) + 1
-    links = np.unique(comp[np.repeat(np.arange(size), counts)] * count + comp[targets])
+    count = int(comp.max(initial=-1)) + 1
+    _budget(count * n * n, cap)
+    links = _distinct(comp[np.repeat(np.arange(size), counts)] * count + comp[targets])
     nodes = np.split(np.argsort(comp, kind="stable"), np.cumsum(np.bincount(comp))[:-1])
     level, lower = [0] * count, [[] for _ in range(count)]
     src, dst = np.divmod(links[links // count != links % count], count)
@@ -193,13 +219,14 @@ def _pair_pass(maps, start, ids, xs, ys, close):
     return found, np.array(result, dtype=int)[comp]
 
 
-def find_congruences(sg):
+def find_congruences(sg, max_bytes=None):
     """The distinct results of collapsing each pair of elements in turn.
 
     A pair's result is the least congruence containing it in which no two
     classes have equal quotient rows and columns. Each distinct congruence
     appears once, finest first (more classes first, ties by class vector).
-    The nodes of the pair graph are the unordered pairs {a, b}.
+    The nodes of the pair graph are the unordered pairs {a, b}. Raises
+    DecompositionTooLargeError past the byte cap (see `_pair_pass`).
     """
     t, maps = _translations(sg)
     n = len(t)
@@ -229,7 +256,7 @@ def find_congruences(sg):
     a, b = np.triu_indices(n, 1)
     ids = np.full((n, n), -1, dtype=np.int32)
     ids[a, b] = ids[b, a] = np.arange(len(a))
-    found, _ = _pair_pass(maps, np.eye(n, dtype=bool), ids, a, b, close)
+    found, _ = _pair_pass(maps, np.eye(n, dtype=bool), ids, a, b, close, max_bytes)
     vectors = {_canonical(q.argmax(axis=1).tolist()) for q in found}
     return [Congruence(sg.st, v) for v in sorted(vectors, key=lambda v: (-max(v), v))]
 
@@ -322,7 +349,7 @@ class PiLattice:
         return min(self.meet_complements(atom), key=lambda m: (-m.size, m.key()), default=None)
 
 
-def factorize(sg, po):
+def factorize(sg, po, max_bytes=None):
     """All principal compatible quasi-orders extending the element order.
 
     For each ordered pair not already comparable, the pair is adjoined and
@@ -330,7 +357,8 @@ def factorize(sg, po):
     lattice searched for atoms and their complements. The element order must
     be a partial order. The nodes of the pair graph are the ordered pairs
     that the least compatible quasi-order above the element order lacks; a
-    seed it holds closes to it.
+    seed it holds closes to it. Raises DecompositionTooLargeError past the
+    byte cap (see `_pair_pass`).
     """
     if tuple(po.labels) != tuple(sg.st):
         raise ValidationError("order and table must share their element labels")
@@ -345,7 +373,7 @@ def factorize(sg, po):
     xs, ys = np.nonzero(~start)
     ids = np.full(start.shape, -1, dtype=np.int32)
     ids[xs, ys] = np.arange(len(xs))
-    found, of = _pair_pass(maps, start, ids, xs, ys, transitive_closure)
+    found, of = _pair_pass(maps, start, ids, xs, ys, transitive_closure, max_bytes)
     which = np.append(of, len(found))[ids[~base]]   # each seed's result, or start's
     found.append(start)
     xs, ys = np.nonzero(~base)

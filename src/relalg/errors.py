@@ -56,6 +56,18 @@ class TooManyConceptsError(ComputationError):
         )
 
 
+class DecompositionTooLargeError(ComputationError):
+    """A congruence or quasi-order search would exceed its byte budget."""
+
+    def __init__(self, need, cap):
+        self.need = need
+        self.cap = cap
+        super().__init__(
+            f"decomposition would take {need} bytes, over the cap of {cap}; "
+            "raise the cap via max_bytes or RELALG_MAX_DECOMP_BYTES"
+        )
+
+
 class UndefinedStatisticError(ComputationError):
     """A statistic's formula divides by a zero count."""
 

@@ -6,10 +6,16 @@ columns: the column extents come first (duplicates dropped), then their
 pairwise-and-beyond intersections in discovery order, and the full object
 set closes the list. Labels can be reduced so that every object and every
 attribute tags exactly one concept.
+
+The listing is held as two boolean matrices, the extents and the intents
+with one row per concept, and two index arrays that give each object's and
+each attribute's reduced-label concept. A `Concept` object is built only
+when it is read; the order, meets, joins and filters work on the matrices.
 """
 
 import csv
 import io
+from functools import cached_property
 
 import numpy as np
 
@@ -95,15 +101,23 @@ def extent(ctx, attributes):
     return frozenset(ctx.objects[i] for i in np.flatnonzero(mask))
 
 
+def _read_only(values, dtype):
+    out = np.asarray(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
 class Concept:
     """An extent/intent pair; index is its 1-based position in the listing."""
 
-    def __init__(self, index, extent_labels, intent_labels):
+    def __init__(
+        self, index, extent_labels, intent_labels, reduced_objects=(), reduced_attributes=()
+    ):
         self.index = index
         self.extent = frozenset(extent_labels)
         self.intent = frozenset(intent_labels)
-        self.reduced_objects = ()
-        self.reduced_attributes = ()
+        self.reduced_objects = tuple(reduced_objects)
+        self.reduced_attributes = tuple(reduced_attributes)
 
     def label(self, reduced=True):
         """Printable "{attributes} {objects}" tag; bare index if both empty."""
@@ -115,31 +129,83 @@ class Concept:
 
 
 class Concepts:
-    """The full concept listing of a context, in canonical order.
+    """The full concept listing of a context, in canonical order, as matrices.
 
-    It keeps the C x |G| extent matrix the enumeration built: row k marks
-    the objects of concept k + 1. `ConceptOrder` is its `containment`.
+    Row k of the C x |G| extent matrix marks the objects of concept k + 1,
+    row k of the C x |M| intent matrix its attributes; object_concept[g] and
+    attribute_concept[m] give the position of the concept that each object
+    and attribute labels in the reduced labelling. `Concept` objects are
+    built only when read: `cs[k]` builds one, and iterating, `members` or
+    `to_dict` builds the rest in one pass. `ConceptOrder` is the
+    `containment` of the extent matrix.
     """
 
-    def __init__(self, ctx, members, extent_matrix):
+    def __init__(self, ctx, extent_matrix, intent_matrix, object_concept, attribute_concept):
         self.context = ctx
-        self.members = tuple(members)
-        self.extent_matrix = np.asarray(extent_matrix, dtype=bool)
-        self.extent_matrix.setflags(write=False)
-        self._by_extent = {c.extent: c for c in self.members}
-        self._by_intent = {c.intent: c for c in self.members}
+        self.extent_matrix = _read_only(extent_matrix, bool)
+        self.intent_matrix = _read_only(intent_matrix, bool)
+        self.object_concept = _read_only(object_concept, int)
+        self.attribute_concept = _read_only(attribute_concept, int)
+        self._built = {}   # position -> Concept, each built once
 
     def __len__(self):
-        return len(self.members)
+        return len(self.extent_matrix)
 
     def __iter__(self):
         return iter(self.members)
 
     def __getitem__(self, i):
-        return self.members[i]
+        if isinstance(i, slice):
+            return self.members[i]
+        return self._take([range(len(self))[i]])[0]
+
+    @cached_property
+    def members(self):
+        return tuple(self._take(range(len(self))))
+
+    @cached_property
+    def _reduced(self):
+        """Position -> (reduced objects, reduced attributes), for labelled concepts."""
+        out = {}
+        for g, k in zip(self.context.objects, self.object_concept.tolist()):
+            out.setdefault(k, ([], []))[0].append(g)
+        for m, k in zip(self.context.attributes, self.attribute_concept.tolist()):
+            out.setdefault(k, ([], []))[1].append(m)
+        return out
+
+    def _take(self, ks):
+        """The concepts at positions ks, building those not yet built in one pass."""
+        new = [k for k in ks if k not in self._built]
+        if new:
+            objects = np.array(self.context.objects, dtype=object)
+            attributes = np.array(self.context.attributes, dtype=object)
+            none = ((), ())
+            self._built.update(
+                (k, Concept(k + 1, objects[e], attributes[i], *self._reduced.get(k, none)))
+                for k, e, i in zip(new, self.extent_matrix[new], self.intent_matrix[new])
+            )
+        return [self._built[k] for k in ks]
+
+    @cached_property
+    def _by_extent(self):
+        return {row.tobytes(): k for k, row in enumerate(self.extent_matrix)}
+
+    @cached_property
+    def _by_intent(self):
+        return {row.tobytes(): k for k, row in enumerate(self.intent_matrix)}
+
+    def _lookup(self, index, row):
+        k = index.get(row.tobytes())
+        return None if k is None else self[k]
 
     def by_extent(self, labels):
-        return self._by_extent.get(frozenset(labels))
+        """The concept whose extent is exactly these objects, or None."""
+        labels = set(labels)
+        objects = self.context.objects
+        row = np.fromiter((g in labels for g in objects), dtype=bool, count=len(objects))
+        if row.sum() != len(labels):   # an unknown object
+            return None
+        return self._lookup(self._by_extent, row)
 
     def to_dict(self):
         out = []
@@ -156,17 +222,23 @@ class Concepts:
         return out
 
 
+def _bits(rows):
+    """Each row of a boolean matrix as an int, bit g for column g."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def concepts(ctx, max_concepts=None):
     """Enumerate every concept of the context.
 
     Attribute column extents seed the list in column order; intersections
     of listed extents with the columns follow, in discovery order; the full
     object set is appended last if still missing. Extents are enumerated as
-    bitsets (bit g for object g), then unpacked into the extent matrix X once;
-    the intents are ~(X . ~incidence). Reduced labels are then assigned:
-    each object to the smallest concept containing it, whose extent is the
-    object's row of containment(incidence), and each attribute to its own
-    column concept.
+    bitsets (bit g for object g), each mapped to its position, then unpacked
+    into the extent matrix X once; the intents are ~(X . ~incidence). Each
+    attribute labels its own column's concept, and each object the smallest
+    concept containing it, whose extent is the object's row of
+    containment(incidence); both are read off the position map.
 
     Raises TooManyConceptsError as soon as the listing would exceed the cap:
     max_concepts, else RELALG_MAX_CONCEPTS, else DEFAULT_MAX_CONCEPTS.
@@ -174,39 +246,35 @@ def concepts(ctx, max_concepts=None):
     cap = read_cap(max_concepts, "RELALG_MAX_CONCEPTS", DEFAULT_MAX_CONCEPTS)
     inc = ctx.incidence
     nobj = len(ctx.objects)
-    packed = np.packbits(inc.T, axis=1, bitorder="little")
-    cols = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    extents = list(dict.fromkeys(cols))
-    seen = set(extents)
+    cols = _bits(inc.T)
+    seen = {}   # extent -> position
+    for e in cols:
+        seen.setdefault(e, len(seen))
+    extents = list(seen)
     for a in extents:  # grows while it is walked
         for e in cols:
             inter = a & e
             if inter not in seen:
-                seen.add(inter)
+                seen[inter] = len(extents)
                 extents.append(inter)
                 if len(extents) > cap:
                     raise TooManyConceptsError(cap)
     full = (1 << nobj) - 1
     if full not in seen:
+        seen[full] = len(extents)
         extents.append(full)
     if len(extents) > cap:
         raise TooManyConceptsError(cap)
     width = (nobj + 7) // 8
     raw = np.frombuffer(b"".join(e.to_bytes(width, "little") for e in extents), np.uint8)
     x = np.unpackbits(raw.reshape(len(extents), width), axis=1, count=nobj, bitorder="little") > 0
-    intents = ~bool_product(x, ~inc)
-    objects = np.array(ctx.objects, dtype=object)
-    attributes = np.array(ctx.attributes, dtype=object)
-    members = [
-        Concept(k, objects[e], attributes[i]) for k, (e, i) in enumerate(zip(x, intents), 1)
-    ]
-    cs = Concepts(ctx, members, x)
-    position = {row.tobytes(): k for k, row in enumerate(x)}
-    for g, row in zip(ctx.objects, containment(inc)):
-        cs[position[row.tobytes()]].reduced_objects += (g,)
-    for m, col in zip(ctx.attributes, inc.T):
-        cs[position[col.tobytes()]].reduced_attributes += (m,)
-    return cs
+    return Concepts(
+        ctx,
+        x,
+        ~bool_product(x, ~inc),
+        [seen[e] for e in _bits(containment(inc))],
+        [seen[e] for e in cols],
+    )
 
 
 class ConceptOrder(Poset):
@@ -214,7 +282,7 @@ class ConceptOrder(Poset):
 
     def __init__(self, cs, labels=None):
         if labels is None:
-            labels = [f"c{c.index}" for c in cs]
+            labels = [f"c{k}" for k in range(1, len(cs) + 1)]
         elif len(labels) != len(cs):
             raise ValidationError("need one label per concept")
         super().__init__(labels, containment(cs.extent_matrix))
@@ -222,15 +290,16 @@ class ConceptOrder(Poset):
 
     def meet(self, i, j):
         """The concept whose extent is the intersection of two extents."""
-        want = self.concepts[i].extent & self.concepts[j].extent
-        c = self.concepts.by_extent(want)
+        x = self.concepts.extent_matrix
+        c = self.concepts._lookup(self.concepts._by_extent, x[i] & x[j])
         if c is None:
             raise ValidationError("extent intersection is not a concept")
         return c
 
     def join(self, i, j):
         """The concept whose intent is the intersection of two intents."""
-        c = self.concepts._by_intent.get(self.concepts[i].intent & self.concepts[j].intent)
+        y = self.concepts.intent_matrix
+        c = self.concepts._lookup(self.concepts._by_intent, y[i] & y[j])
         if c is None:
             raise ValidationError("intent intersection is not a concept")
         return c
@@ -248,11 +317,12 @@ def _resolve(co, selector):
         if not 1 <= idx <= len(cs):
             raise ValidationError(f"concept index {idx} out of range 1..{len(cs)}")
         return idx - 1
-    hits = [
-        k
-        for k, c in enumerate(cs)
-        if selector in c.reduced_objects or selector in c.reduced_attributes
-    ]
+    ctx = cs.context
+    hits = sorted({
+        int(at[pool.index(selector)])
+        for pool, at in ((ctx.objects, cs.object_concept), (ctx.attributes, cs.attribute_concept))
+        if selector in pool
+    })
     if not hits:
         raise ValidationError(f"{selector!r} labels no concept")
     if len(hits) > 1:
@@ -263,7 +333,8 @@ def _resolve(co, selector):
 def filter_ideal(co, of, ideal=False):
     """Union of principal filters (or ideals) of the chosen concepts.
 
-    Returns {concept index: reduced label string}, ascending by index.
+    Returns {concept index: reduced label string}, ascending by index; only
+    the concepts returned are built.
     """
     if isinstance(of, (int, str)):
         of = [of]
@@ -272,8 +343,5 @@ def filter_ideal(co, of, ideal=False):
     chosen = set()
     for sel in of:
         k = _resolve(co, sel)
-        positions = co.downset(co.labels[k]) if ideal else co.upset(co.labels[k])
-        chosen.update(positions)
-    return {
-        co.concepts[k].index: co.concepts[k].label() for k in sorted(chosen)
-    }
+        chosen.update(np.flatnonzero(co.matrix[:, k] if ideal else co.matrix[k]).tolist())
+    return {c.index: c.label() for c in co.concepts._take(sorted(chosen))}

@@ -172,11 +172,26 @@ class Semigroup:
         }
 
 
+def _transpose(a, block=256):
+    """Transpose a square array in place, a pair of blocks at a time."""
+    for i in range(0, len(a), block):
+        rows = slice(i, i + block)
+        a[rows, rows] = a[rows, rows].T.copy()
+        for j in range(i + block, len(a), block):
+            cols = slice(j, j + block)
+            upper = a[rows, cols].copy()
+            a[rows, cols] = a[cols, rows].T
+            a[cols, rows] = upper.T
+    return a
+
+
 def build_semigroup(strings, fmt="numerical"):
     """Multiplication table over a closed string set, one column per element.
 
     Walks ``right`` breadth first: a generator's column is ``right[:, a]``, an
     element first reached as p times letter a gets ``right[T[:, p], a]``.
+    The columns are written as the rows of one array, which is then
+    transposed in place, so only one table is ever held.
     """
     n = strings.order
     cols = np.empty((n, n), dtype=int)           # the transpose, filled by rows
@@ -190,7 +205,7 @@ def build_semigroup(strings, fmt="numerical"):
     if len(reached) < n:
         missing = strings.st[min(set(range(n)) - reached)]
         raise ValidationError(f"{missing} is not a product of letters; not a closed StringSet")
-    return Semigroup(strings.st, strings.generator_elements, np.ascontiguousarray(cols.T), fmt)
+    return Semigroup(strings.st, strings.generator_elements, _transpose(cols), fmt)
 
 
 def semigroup_from_dict(data):

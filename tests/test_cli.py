@@ -279,6 +279,18 @@ class TestDecomp:
         assert len(r.stderr.splitlines()) == 1
         assert r.stdout == ""
 
+    @pytest.mark.parametrize("mode", [["cc"], ["mca", "--poset"]])
+    def test_decomposition_budget_exits_3(self, files, sg_file, monkeypatch, mode):
+        monkeypatch.setenv("RELALG_MAX_DECOMP_BYTES", "1000")
+        extra = [files["po"]] if len(mode) > 1 else []
+        r = run_process("decomp", sg_file, "--mode", *mode, *extra)
+        assert r.returncode == 3, r.stderr
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: decomposition would take ")
+        assert "over the cap of 1000" in r.stderr
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stdout == ""
+
 
 class TestSigned:
     def test_letter_matrix(self, runner, files):

@@ -1,9 +1,16 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import oracles
 from conftest import canonical, golden
 from relalg import (
+    DecompositionTooLargeError,
     MultiplexNetwork,
     Poset,
     RelationMatrix,
@@ -156,6 +163,68 @@ class TestPairGraph:
         monkeypatch.setattr(decomp, "_BLOCK_CELLS", n * n)
         assert [c.vector for c in find_congruences(netcs_sg)] == want
         assert want == oracles.congruence_vectors(netcs_sg.index_table())
+
+
+class TestBudget:
+    """A search that would hold more bytes than its cap raises before the
+    gather (12 bytes an edge entry) or right after the components are
+    found (an n x n result for each)."""
+
+    @staticmethod
+    def search(kind, sg, po, cap=None):
+        return find_congruences(sg, max_bytes=cap) if kind == "cc" else factorize(sg, po, cap)
+
+    @pytest.mark.parametrize("kind", ["cc", "pi"])
+    def test_cap_before_the_gather(self, netcs_sg, netcs_po, kind):
+        with pytest.raises(DecompositionTooLargeError) as exc:
+            self.search(kind, netcs_sg, netcs_po, 100)
+        n, rows = netcs_sg.order, len(decomp._translations(netcs_sg)[1])
+        assert exc.value.cap == 100 and exc.value.need % (12 * rows) == 0
+        if kind == "cc":   # one node per unordered pair
+            assert exc.value.need == 12 * rows * n * (n - 1) // 2
+
+    @pytest.mark.parametrize("kind", ["cc", "pi"])
+    def test_cap_after_the_components(self, netcs_sg, netcs_po, kind):
+        with pytest.raises(DecompositionTooLargeError) as exc:
+            self.search(kind, netcs_sg, netcs_po, 0)
+        gather = exc.value.need
+        with pytest.raises(DecompositionTooLargeError) as exc:
+            self.search(kind, netcs_sg, netcs_po, gather)   # past the gather only
+        need, n = exc.value.need, netcs_sg.order
+        assert need > gather and need % (n * n) == 0
+        got, want = (self.search(kind, netcs_sg, netcs_po, cap) for cap in (need, None))
+        if kind == "cc":
+            assert got == want
+        else:
+            assert [m.key() for m in got.members] == [m.key() for m in want.members]
+
+    def test_cap_from_the_environment(self, netcs_sg, monkeypatch):
+        monkeypatch.setenv("RELALG_MAX_DECOMP_BYTES", "1")
+        with pytest.raises(DecompositionTooLargeError):
+            find_congruences(netcs_sg)
+        assert find_congruences(netcs_sg, max_bytes=10**9)
+
+
+def test_searches_do_not_load_numpy_ma():
+    # numpy's np.unique without return_index imports numpy.ma on first use
+    code = (
+        "import json, sys\n"
+        "from relalg import decompose, factorize, find_congruences, fixtures\n"
+        "from relalg import build_semigroup, generate_strings, string_partial_order\n"
+        "st = generate_strings(fixtures.netcs())\n"
+        "sg, po = build_semigroup(st), string_partial_order(st)\n"
+        "cc, lattice = find_congruences(sg), factorize(sg, po)\n"
+        "decompose(sg, cc)\n"
+        "decompose(sg, lattice, mode='atoms'), decompose(sg, lattice, mode='mca')\n"
+        "print(json.dumps('numpy.ma' in sys.modules))"
+    )
+    src = str(pathlib.Path(decomp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=120, check=True,
+    )
+    assert json.loads(proc.stdout) is False
 
 
 class TestFactorize:

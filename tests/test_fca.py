@@ -5,6 +5,7 @@ import pytest
 import oracles
 from conftest import golden
 from relalg import (
+    Concept,
     FormalContext,
     TooManyConceptsError,
     ValidationError,
@@ -14,6 +15,7 @@ from relalg import (
     extent,
     filter_ideal,
 )
+from relalg import fca
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +264,57 @@ class TestFilters:
         with pytest.raises(ValidationError):
             filter_ideal(g20_order, ["0"])
 
+    def test_a_name_on_two_concepts_is_ambiguous(self):
+        # object x labels {x}'s concept, attribute x the concept of column x, {b}
+        ctx = FormalContext(["x", "b"], ["x", "y"], [[0, 1], [1, 0]])
+        co = concept_order(concepts(ctx))
+        with pytest.raises(ValidationError, match=r"^'x' labels several concepts: \[0, 1\]$"):
+            filter_ideal(co, ["x"])
+        assert filter_ideal(co, ["y"], ideal=True) == {2: "{y} {x}", 3: "3"}
+        # object x and attribute x on one concept name it once
+        co = concept_order(concepts(FormalContext(["x", "b"], ["x", "y"], [[1, 0], [0, 1]])))
+        assert filter_ideal(co, ["x"]) == filter_ideal(co, ["1"]) == {1: "{x} {x}", 4: "4"}
+
     def test_empty_selection(self, g20_order):
         with pytest.raises(ValidationError):
             filter_ideal(g20_order, [])
+
+
+class TestLazyConcepts:
+    """`concepts` keeps two matrices and two label arrays; a `Concept` is
+    built when it is read, once."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        out = []
+
+        class Counted(Concept):
+            def __init__(self, index, *args):
+                out.append(index)
+                super().__init__(index, *args)
+
+        monkeypatch.setattr(fca, "Concept", Counted)
+        return out
+
+    def test_filter_builds_only_what_it_returns(self, g20, built):
+        co = concept_order(concepts(g20))
+        assert built == []
+        got = filter_ideal(co, ["1"])
+        assert sorted(built) == list(got) and len(got) < len(co.concepts)
+
+    def test_each_concept_is_built_once(self, g20, built):
+        cs = concepts(g20)
+        third = cs[2]
+        assert cs[2] is third and built == [3]
+        assert list(cs)[2] is third and cs.by_extent(third.extent) is third
+        assert sorted(built) == list(range(1, 26))
+
+    def test_matrices_and_label_arrays(self, g20, g20_concepts):
+        cs = g20_concepts
+        assert cs.extent_matrix.shape == (25, len(g20.objects))
+        assert cs.intent_matrix.shape == (25, len(g20.attributes))
+        for g, k in zip(g20.objects, cs.object_concept):
+            assert g in cs[k].reduced_objects
+        for m, k in zip(g20.attributes, cs.attribute_concept):
+            assert m in cs[k].reduced_attributes
+        assert not cs.extent_matrix.flags.writeable and not cs.object_concept.flags.writeable

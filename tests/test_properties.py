@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import oracles
 from relalg import (
@@ -26,6 +26,7 @@ from relalg import (
     equations,
     extent,
     factorize,
+    filter_ideal,
     find_congruences,
     generate_strings,
     is_congruence,
@@ -530,6 +531,93 @@ class TestConceptIndex:
         for c in cs:
             assert cs.by_extent(c.extent) is c
             assert co.join(c.index - 1, 0).intent == c.intent & cs[0].intent
+
+
+@st.composite
+def awkward_context(draw):
+    """A random incidence with, on request, a repeated column, an all-false
+    column and an all-false row (whose full object set is then no column
+    extent)."""
+    no, na = draw(st.integers(0, 8)), draw(st.integers(0, 6))
+    inc = np.array(
+        draw(st.lists(st.booleans(), min_size=no * na, max_size=no * na)), dtype=bool
+    ).reshape(no, na)
+    if na and draw(st.booleans()):
+        inc = np.hstack([inc, inc[:, [draw(st.integers(0, na - 1))]]])
+    if draw(st.booleans()):
+        inc = np.hstack([inc, np.zeros((no, 1), dtype=bool)])
+    if draw(st.booleans()):
+        inc = np.vstack([inc, np.zeros((1, inc.shape[1]), dtype=bool)])
+    return inc
+
+
+class TestLazyListing:
+    """The listing reads concepts off its two matrices and two label arrays
+    only when asked: single concepts, the full listing, the order, meets,
+    joins, lookups, filters and the dict export all match the scans."""
+
+    @settings(max_examples=200, **COMMON)
+    @given(awkward_context(), st.integers(0, 999), st.integers(0, 999), st.booleans())
+    @example(
+        np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [1, 1, 1, 0]], dtype=bool), 5, 2, True
+    ).via("duplicate columns, an all-false row and column")
+    def test_lazy_listing_matches_the_scans(self, inc, pick, other, ideal):
+        no, na = inc.shape
+        objs = [f"o{i}" for i in range(no)]
+        atts = [f"m{j}" for j in range(na)]
+        extents = oracles.concept_extents(inc)
+        rows = oracles.concept_labels(inc, extents)
+        want = [
+            (
+                frozenset(objs[g] for g in e),
+                frozenset(atts[m] for m in intent),
+                tuple(objs[g] for g in ro),
+                tuple(atts[m] for m in ra),
+            )
+            for e, (intent, ro, ra) in zip(extents, rows)
+        ]
+        order = oracles.concept_order(extents)
+        cs = concepts(FormalContext(objs, atts, inc))
+        assert len(cs) == len(want)
+        k = pick % len(cs)
+        single = cs[k]   # built alone, and kept for the listing
+        assert (single.index, single.extent, single.intent) == (k + 1, *want[k][:2])
+        assert [(c.extent, c.intent, c.reduced_objects, c.reduced_attributes) for c in cs] == want
+        assert cs[k] is single and cs.members[k] is single and cs[k - len(cs)] is single
+        assert [c.index for c in cs] == list(range(1, len(cs) + 1))
+
+        co = concept_order(cs)
+        assert list(co.labels) == [f"c{i}" for i in range(1, len(cs) + 1)]
+        assert (co.matrix == order).all()
+        i, j = other % len(cs), k
+        assert co.meet(i, j).index == extents.index(extents[i] & extents[j]) + 1
+        joined = want[i][1] & want[j][1]
+        assert co.join(i, j).index == [w[1] for w in want].index(joined) + 1
+        assert all(cs.by_extent(c.extent) is c for c in cs)
+        assert cs.by_extent(["nobody"]) is None
+
+        def label(p):
+            ro, ra = sorted(want[p][2]), sorted(want[p][3])
+            return "{%s} {%s}" % (", ".join(ra), ", ".join(ro)) if ro or ra else str(p + 1)
+
+        named = (objs + atts)[other % (no + na)] if no + na else None
+        for sel in filter(None, [str(k + 1), named]):
+            at = int(sel) - 1 if sel.isdigit() else next(
+                p for p, w in enumerate(want) if sel in w[2] + w[3]
+            )
+            chosen = np.flatnonzero(order[:, at] if ideal else order[at])
+            assert filter_ideal(co, [sel], ideal=ideal) == {p + 1: label(p) for p in chosen}
+
+        assert concepts(FormalContext(objs, atts, inc)).to_dict() == [
+            {
+                "index": p + 1,
+                "extent": sorted(e),
+                "intent": sorted(intent),
+                "reduced_objects": sorted(ro),
+                "reduced_attributes": sorted(ra),
+            }
+            for p, (e, intent, ro, ra) in enumerate(want)
+        ]
 
 
 class TestHasse:

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,33 @@ class TestBuildSemigroup:
         for gens in ([["a", 0]], [["a", 3]], [["a"]], ["a"], 1):
             with pytest.raises(ValidationError):
                 semigroup_from_dict({"st": ["a", "b"], "table": [[1, 2], [2, 1]], "generators": gens})
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_transpose_in_place_across_block_edges(self, n):
+        a = np.arange(n * n).reshape(n, n)
+        for block in (1, 2, 3, 4, 256):
+            want = a.T.copy()
+            assert np.array_equal(semigroup._transpose(a, block), want)
+            a = want
+
+    def test_one_table_at_a_time(self):
+        # order 897: its int64 table is 6.1 MiB
+        rng = np.random.default_rng(5)
+        actors = [f"a{i}" for i in range(5)]
+        st = generate_strings(MultiplexNetwork(
+            actors, [RelationMatrix(f"R{k}", actors, rng.random((5, 5)) < .25) for k in range(3)]
+        ))
+        tracemalloc.start()
+        try:
+            sg = build_semigroup(st)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = sg._idx
+        assert table.shape == (897, 897) and table.flags["C_CONTIGUOUS"]
+        assert peak < 1.25 * table.nbytes
+        for a, (_, g) in enumerate(st.generator_elements):   # x times letter a
+            assert np.array_equal(table[:, g], st.right[:, a])
 
 
 class TestEquations:
