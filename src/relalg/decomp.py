@@ -19,8 +19,9 @@ once and kept while the table lives.
 
 Both searches close their seed pairs in one pass over a pair graph, whose
 node (x, y) has an edge to each translate (f(x), f(y)): unordered pairs for
-congruences, ordered pairs for quasi-orders. A pair's result contains the
-results of the pairs it reaches, so it is settled once per strongly
+congruences, kept as each element's least class-mate (n int32), ordered
+pairs for quasi-orders, kept as n x n matrices. A pair's result contains
+the results of the pairs it reaches, so it is settled once per strongly
 connected component, and a level of components at a time.
 """
 
@@ -31,11 +32,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DecompositionTooLargeError, ValidationError, read_cap
-from .netcore import _BLOCK_CELLS, containment
+from .netcore import _BLOCK_CELLS, classes, containment
 from .semigroup import Poset, transitive_closure
 
-# Bytes a search may hold: the pair graph's gather, then an n x n result for
-# each component that may need its own close (most do, on large tables).
+# Bytes a search may hold: the pair graph's gather, then one result for each
+# component that may need its own close (most do, on large tables): n int32
+# for a congruence, n x n bools for a quasi-order.
 DEFAULT_MAX_DECOMP_BYTES = 2**30
 _EDGE_BYTES = 12   # the gather's peak per edge entry: int32 indices, targets, their sort
 
@@ -43,15 +45,9 @@ _EDGE_BYTES = 12   # the gather's peak per edge entry: int32 indices, targets, t
 _TRANSLATIONS = weakref.WeakKeyDictionary()
 
 
-def _canonical(assign):
-    """Renumber class ids 1.. by first occurrence."""
-    seen = {}
-    out = []
-    for a in assign:
-        if a not in seen:
-            seen[a] = len(seen) + 1
-        out.append(seen[a])
-    return tuple(out)
+def _canonical(first):
+    """Class ids 1.. by first occurrence, from each element's least class-mate."""
+    return tuple(np.cumsum(first == np.arange(len(first)))[first].tolist())
 
 
 @dataclass(frozen=True)
@@ -156,23 +152,23 @@ def _budget(need, cap):
         raise DecompositionTooLargeError(need, cap)
 
 
-def _pair_pass(maps, start, ids, xs, ys, close, max_bytes=None):
+def _pair_pass(maps, start, ids, xs, ys, close, holds, max_bytes=None):
     """Each seed pair's result, in one pass over the pair graph.
 
     Node i is the pair (xs[i], ys[i]), with an edge to each translate
-    (f(x), f(y)); `ids` maps a pair to its node, or to -1 where `start`
-    holds it. `start` holds its translates, and `close` takes a stack of
-    relations that hold theirs to their least results. A pair's result
-    holds those of the pairs it reaches, so the pairs of a strongly
-    connected component share one: a result below that holds one of its
-    pairs (it then holds the component's result and lies inside it), or
-    else `close` of `start`, the results below and the component's pairs,
-    a level of components at a time, in blocks of at most _BLOCK_CELLS
-    cells. Returns the distinct results and each node's index among them.
+    (f(x), f(y)); `ids` maps a pair to its node, or to -1 where `start`, the
+    least result, holds it. A pair's result holds those of the pairs it
+    reaches, so the pairs of a strongly connected component share one: a
+    result q below with holds(q, x, y) for one of its pairs (q then holds
+    the component's result and lies inside it), or else the least result
+    above its part, which `close` returns for a list of parts (a part is a
+    component's nodes and the results below it, and holds its translates),
+    a level of components at a time, in blocks of _BLOCK_CELLS // n^2 parts.
+    Returns the distinct results and each node's index among them.
 
-    Raises DecompositionTooLargeError, before the gather and again once the
-    components are known, when the bytes they would take exceed the cap:
-    max_bytes, else RELALG_MAX_DECOMP_BYTES, else DEFAULT_MAX_DECOMP_BYTES.
+    Raises DecompositionTooLargeError when the gather, or once they are known
+    the components at start.nbytes each, would exceed the cap: max_bytes,
+    else RELALG_MAX_DECOMP_BYTES, else DEFAULT_MAX_DECOMP_BYTES.
     """
     n, size = len(start), len(xs)
     cap = read_cap(max_bytes, "RELALG_MAX_DECOMP_BYTES", DEFAULT_MAX_DECOMP_BYTES)
@@ -185,7 +181,7 @@ def _pair_pass(maps, start, ids, xs, ys, close, max_bytes=None):
     edges, ends = memoryview(targets), np.cumsum(counts).tolist()   # views, not lists of ints
     comp = np.array(_components([edges[lo:hi] for lo, hi in zip([0] + ends, ends)]), dtype=int)
     count = int(comp.max(initial=-1)) + 1
-    _budget(count * n * n, cap)
+    _budget(count * start.nbytes, cap)
     links = _distinct(comp[np.repeat(np.arange(size), counts)] * count + comp[targets])
     nodes = np.split(np.argsort(comp, kind="stable"), np.cumsum(np.bincount(comp))[:-1])
     level, lower = [0] * count, [[] for _ in range(count)]
@@ -198,24 +194,19 @@ def _pair_pass(maps, start, ids, xs, ys, close, max_bytes=None):
     block = max(1, _BLOCK_CELLS // (n * n))
     keys, found, result = {}, [], [0] * count
     for comps in levels:
-        todo = []
+        todo, parts = [], []
         for c in comps.tolist():
             below, x, y = {result[d] for d in lower[c]}, xs[nodes[c][0]], ys[nodes[c][0]]
-            result[c] = next((r for r in below if found[r][x, y]), None)
+            result[c] = next((r for r in below if holds(found[r], x, y)), None)
             if result[c] is None:
-                todo.append((c, below))
+                todo.append(c)
+                parts.append((nodes[c], [found[r] for r in below]))
         for lo in range(0, len(todo), block):
-            part = todo[lo:lo + block]
-            m = np.repeat(start[None], len(part), axis=0)
-            for s, (c, below) in enumerate(part):
-                m[s, xs[nodes[c]], ys[nodes[c]]] = True
-                for r in below:
-                    m[s] |= found[r]
-            for (c, _), q in zip(part, close(m)):
+            for c, q in zip(todo[lo:lo + block], close(parts[lo:lo + block])):
                 key = q.tobytes()
                 result[c] = keys.setdefault(key, len(keys))
                 if result[c] == len(found):
-                    found.append(np.frombuffer(key, dtype=bool).reshape(n, n))
+                    found.append(np.frombuffer(key, dtype=start.dtype).reshape(start.shape))
     return found, np.array(result, dtype=int)[comp]
 
 
@@ -232,33 +223,38 @@ def find_congruences(sg, max_bytes=None):
     n = len(t)
     images = np.ascontiguousarray(maps.T)   # images[x]: the translates of x
     row = f"V{4 * len(maps)}"               # those of one element, as bytes
+    every = np.arange(n, dtype=np.int32)
 
-    def close(m):
-        """The least congruences above the relations, with no two classes alike.
+    def close(parts):
+        """The least congruences above the parts, with no two classes alike.
 
-        A relation that holds its translates has a transitive closure E that
-        is a congruence once made symmetric. Then E <- M(E) until stable:
-        M(E) relates x and y when E relates f(x) and f(y) for every
-        translation f, so it merges the classes whose quotient rows and
-        columns are equal. M is monotone and keeps a congruence's pairs, so
-        this ends at the least such congruence above E.
+        A part's pairs and results hold their translates, so the partition
+        that joins them is a congruence E. Then E <- M(E) until stable: M(E)
+        relates x and y when E relates f(x) and f(y) for every translation
+        f, so it merges the classes whose quotient rows and columns are
+        equal. M is monotone and keeps a congruence's pairs, so this ends at
+        the least such congruence above E.
         """
-        step = transitive_closure(m | m.swapaxes(1, 2)).argmax(axis=2)   # first class-mates
-        offset = n * np.arange(len(m), dtype=np.int32)[:, None, None]
+        u, v = [], []
+        for s, (nodes, below) in enumerate(parts):   # part s on elements s*n..s*n+n-1
+            u += [a[nodes] + s * n] + [every + s * n] * len(below)
+            v += [b[nodes] + s * n] + [q + s * n for q in below]
+        step = classes(n * len(parts), np.concatenate(u), np.concatenate(v)).reshape(-1, n) % n
+        offset = n * np.arange(len(parts), dtype=np.int32)[:, None, None]
         first = None
         while not np.array_equal(step, first):   # group elements by their translates' classes
             first = step
-            keys = np.ascontiguousarray(first.astype(np.int32)[:, images] + offset).view(row)
+            keys = np.ascontiguousarray(first[:, images] + offset).view(row)
             _, head, group = np.unique(keys, return_index=True, return_inverse=True)
-            step = (head[group] % n).reshape(-1, n)
-        return first[:, :, None] == first[:, None, :]
+            step = (head[group] % n).astype(np.int32).reshape(-1, n)
+        return first
 
     a, b = np.triu_indices(n, 1)
     ids = np.full((n, n), -1, dtype=np.int32)
     ids[a, b] = ids[b, a] = np.arange(len(a))
-    found, _ = _pair_pass(maps, np.eye(n, dtype=bool), ids, a, b, close, max_bytes)
-    vectors = {_canonical(q.argmax(axis=1).tolist()) for q in found}
-    return [Congruence(sg.st, v) for v in sorted(vectors, key=lambda v: (-max(v), v))]
+    found, _ = _pair_pass(maps, every, ids, a, b, close, lambda q, x, y: q[x] == q[y], max_bytes)
+    vectors = sorted((_canonical(q) for q in found), key=lambda v: (-max(v), v))
+    return [Congruence(sg.st, v) for v in vectors]
 
 
 def _first_members(t, vector):
@@ -308,7 +304,7 @@ class PiRelation:
         """Classes of mutually related elements, canonically numbered."""
         mutual = self.matrix & self.matrix.T
         np.fill_diagonal(mutual, True)
-        return _canonical(np.argmax(mutual, axis=1).tolist())
+        return _canonical(np.argmax(mutual, axis=1))
 
 
 class PiLattice:
@@ -373,7 +369,17 @@ def factorize(sg, po, max_bytes=None):
     xs, ys = np.nonzero(~start)
     ids = np.full(start.shape, -1, dtype=np.int32)
     ids[xs, ys] = np.arange(len(xs))
-    found, of = _pair_pass(maps, start, ids, xs, ys, transitive_closure, max_bytes)
+
+    def close(parts):
+        """The least quasi-orders above start that hold each part."""
+        m = np.repeat(start[None], len(parts), axis=0)
+        for s, (nodes, below) in enumerate(parts):
+            m[s, xs[nodes], ys[nodes]] = True
+            for q in below:
+                m[s] |= q
+        return transitive_closure(m)
+
+    found, of = _pair_pass(maps, start, ids, xs, ys, close, lambda q, x, y: q[x, y], max_bytes)
     which = np.append(of, len(found))[ids[~base]]   # each seed's result, or start's
     found.append(start)
     xs, ys = np.nonzero(~base)

@@ -207,27 +207,33 @@ def transpose(a):
     return RelationMatrix("t" + a.name, a.actors, a.cells.T)
 
 
+def classes(n, u, v):
+    """Each of 0..n-1's least class-mate (int32) in the partition joining u[k] with v[k].
+
+    A whole-array union-find: each edge whose ends have different labels
+    hooks the larger label onto the smaller, and labels are followed to
+    their roots, until no edge splits. Labels only decrease, so each class
+    ends labelled by its least member.
+    """
+    f = np.arange(n, dtype=np.int32)
+    while True:
+        a, b = f[u], f[v]
+        split = a != b
+        if not split.any():
+            return f
+        np.minimum.at(f, np.maximum(a, b)[split], np.minimum(a, b)[split])
+        while not np.array_equal(f[f], f):
+            f = f[f]
+
+
 def connected_components(adj):
     """Components of a boolean adjacency, direction ignored.
 
     Each is an ascending index array; they are listed by their first index.
     """
-    adj = np.asarray(adj, dtype=bool)
-    adj = adj | adj.T
-    seen = np.zeros(len(adj), dtype=bool)
-    comps = []
-    for start in range(len(adj)):
-        if seen[start]:
-            continue
-        comp = np.zeros(len(adj), dtype=bool)
-        frontier = comp.copy()
-        frontier[start] = True
-        while frontier.any():
-            comp |= frontier
-            frontier = adj[frontier].any(axis=0) & ~comp
-        seen |= comp
-        comps.append(np.flatnonzero(comp))
-    return comps
+    f = classes(len(adj), *np.nonzero(adj))
+    sizes = np.bincount(f, minlength=len(f))[f == np.arange(len(f))]
+    return np.split(np.argsort(f, kind="stable"), np.cumsum(sizes))[:-1]
 
 
 def components(net):
@@ -239,20 +245,14 @@ def components(net):
     first actor's position; membership follows actor order.
     """
     union = np.any([s.cells for s in net.slices], axis=0)
-    comps = []
-    isolates = []
-    for comp in connected_components(union):
-        if len(comp) > 1:
-            comps.append([net.actors[i] for i in comp])
-        else:
-            isolates.append(net.actors[comp[0]])
-    return comps, isolates
+    comps = [[net.actors[i] for i in comp] for comp in connected_components(union)]
+    return [c for c in comps if len(c) > 1], [c[0] for c in comps if len(c) == 1]
 
 
 def remove_isolates(net):
     """Drop every actor with zero degree across all slices."""
-    _, isolates = components(net)
-    keep = [a for a in net.actors if a not in set(isolates)]
+    isolates = set(components(net)[1])
+    keep = [a for a in net.actors if a not in isolates]
     return select_subnetwork(net, keep)
 
 

@@ -56,6 +56,27 @@ def reachable(n, edges):
     return reach
 
 
+def union_find(n, edges):
+    """Each of 0..n-1's least class-mate in the partition joining each edge's ends."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return [find(i) for i in range(n)]
+
+
+def weak_components(n, edges):
+    """The classes of union_find as ascending lists, by their least member."""
+    least = union_find(n, edges)
+    return [[i for i in range(n) if least[i] == r] for r in range(n) if least[r] == r]
+
+
 # ---------------------------------------------------------------------------
 # dyad classification
 

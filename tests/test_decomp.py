@@ -146,16 +146,18 @@ class TestPairGraph:
     def test_fewer_closures_than_seed_pairs(self, netcs_sg, monkeypatch):
         # a pair that a result below holds is not closed again
         n = netcs_sg.order
-        matrices = []
-        closure = decomp.transitive_closure
+        parts = []
+        pair_pass = decomp._pair_pass
 
-        def counted(m):
-            matrices.append(np.size(m) // (n * n))
-            return closure(m)
+        def counted(maps, start, ids, xs, ys, close, *rest):
+            def counting(block):
+                parts.append(len(block))
+                return close(block)
+            return pair_pass(maps, start, ids, xs, ys, counting, *rest)
 
-        monkeypatch.setattr(decomp, "transitive_closure", counted)
+        monkeypatch.setattr(decomp, "_pair_pass", counted)
         find_congruences(netcs_sg)
-        assert 0 < sum(matrices) < n * (n - 1) // 2
+        assert 0 < sum(parts) < n * (n - 1) // 2
 
     def test_blocks_of_one_matrix_change_nothing(self, netcs_sg, monkeypatch):
         want = [c.vector for c in find_congruences(netcs_sg)]
@@ -168,7 +170,8 @@ class TestPairGraph:
 class TestBudget:
     """A search that would hold more bytes than its cap raises before the
     gather (12 bytes an edge entry) or right after the components are
-    found (an n x n result for each)."""
+    found (one result for each: n int32 for a congruence, n x n bools for a
+    quasi-order)."""
 
     @staticmethod
     def search(kind, sg, po, cap=None):
@@ -183,20 +186,54 @@ class TestBudget:
         if kind == "cc":   # one node per unordered pair
             assert exc.value.need == 12 * rows * n * (n - 1) // 2
 
+    @staticmethod
+    def components_counted(monkeypatch):
+        """A list that each later search appends its number of components to."""
+        counts = []
+        tarjan = decomp._components
+
+        def counted(succ):
+            comp = tarjan(succ)
+            counts.append(max(comp, default=-1) + 1)
+            return comp
+
+        monkeypatch.setattr(decomp, "_components", counted)
+        return counts
+
     @pytest.mark.parametrize("kind", ["cc", "pi"])
-    def test_cap_after_the_components(self, netcs_sg, netcs_po, kind):
+    def test_cap_after_the_components(self, netcs_sg, netcs_po, kind, monkeypatch):
+        sg = netcs_sg
+        if kind == "cc":
+            # netcs's congruences are charged less than their gather; a nilpotent
+            # a, a^2, ..., a^n = 0 has a pair graph without cycles, one component a pair
+            n = 10
+            table = [[min(i + j + 1, n - 1) for j in range(n)] for i in range(n)]
+            sg = semigroup_from_dict(dict(tiny_semigroup(table).to_dict(), generators=[["a", 1]]))
         with pytest.raises(DecompositionTooLargeError) as exc:
-            self.search(kind, netcs_sg, netcs_po, 0)
+            self.search(kind, sg, netcs_po, 0)
         gather = exc.value.need
+        counts = self.components_counted(monkeypatch)
         with pytest.raises(DecompositionTooLargeError) as exc:
-            self.search(kind, netcs_sg, netcs_po, gather)   # past the gather only
-        need, n = exc.value.need, netcs_sg.order
-        assert need > gather and need % (n * n) == 0
-        got, want = (self.search(kind, netcs_sg, netcs_po, cap) for cap in (need, None))
+            self.search(kind, sg, netcs_po, gather)   # past the gather only
+        need, n = exc.value.need, sg.order
+        assert need > gather and need == counts[-1] * (4 * n if kind == "cc" else n * n)
+        got, want = (self.search(kind, sg, netcs_po, cap) for cap in (need, None))
         if kind == "cc":
             assert got == want
         else:
             assert [m.key() for m in got.members] == [m.key() for m in want.members]
+
+    def test_a_cap_between_the_two_charges(self, netcs_sg, netcs_po, monkeypatch):
+        # at the congruence gather's cap, a congruence a component (4n bytes)
+        # fits where an n x n result would not, and factorize raises
+        with pytest.raises(DecompositionTooLargeError) as exc:
+            find_congruences(netcs_sg, max_bytes=0)
+        cap, n = exc.value.need, netcs_sg.order
+        counts = self.components_counted(monkeypatch)
+        assert find_congruences(netcs_sg, max_bytes=cap) == find_congruences(netcs_sg)
+        assert counts[0] * 4 * n <= cap < counts[0] * n * n
+        with pytest.raises(DecompositionTooLargeError):
+            factorize(netcs_sg, netcs_po, cap)
 
     def test_cap_from_the_environment(self, netcs_sg, monkeypatch):
         monkeypatch.setenv("RELALG_MAX_DECOMP_BYTES", "1")

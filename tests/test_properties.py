@@ -38,7 +38,9 @@ from relalg import (
     transitive_closure,
 )
 from relalg.bundles import bundle_census, relational_system
-from relalg.netcore import _BLOCK_WORDS, bool_product, containment
+from relalg.netcore import (
+    _BLOCK_WORDS, bool_product, classes, connected_components, containment,
+)
 from relalg.signed import VALENCES, _product
 from relalg.decomp import _translations
 from relalg.dot import hasse_dot
@@ -107,6 +109,33 @@ class TestComposition:
         n, a, b = args
         got = pairs_of(compose(a, b).cells)
         assert got == oracles.compose_sets(n, pairs_of(a.cells), pairs_of(b.cells))
+
+
+@st.composite
+def edge_list(draw, max_n=12):
+    """n elements and up to 3n edges among them, self-loops and repeats allowed."""
+    n = draw(st.integers(0, max_n))
+    ends = st.integers(0, max(n - 1, 0))
+    return n, draw(st.lists(st.tuples(ends, ends), max_size=3 * n))
+
+
+class TestPartitionKernel:
+    @settings(max_examples=150, **COMMON)
+    @given(edge_list())
+    @example((0, []))
+    @example((5, []))
+    @example((4, [(2, 2), (0, 0)]))
+    @example((6, [(4, 1), (1, 4), (4, 1), (5, 3), (3, 5)]))
+    @example((12, [(i, i - 1) for i in range(11, 0, -1)]))   # one component, longest first
+    @example((12, [(11 - i, i) for i in range(6)] + [(i, i + 1) for i in range(5)]))
+    def test_matches_union_find(self, graph):
+        n, edges = graph
+        u, v = np.array(edges, dtype=int).reshape(len(edges), 2).T
+        assert classes(n, u, v).tolist() == oracles.union_find(n, edges)
+        adj = np.zeros((n, n), dtype=bool)
+        adj[u, v] = True
+        got = connected_components(adj)
+        assert [c.tolist() for c in got] == oracles.weak_components(n, edges)
 
 
 @st.composite
