@@ -23,6 +23,12 @@ congruences, kept as each element's least class-mate (n int32), ordered
 pairs for quasi-orders, kept as n x n matrices. A pair's result contains
 the results of the pairs it reaches, so it is settled once per strongly
 connected component, and a level of components at a time.
+
+A class vector is read in one place, `_first_members`: each element's least
+class-mate, from class ids of any kind, checked for the substitution
+property. `is_congruence` and every quotient go through it. A quotient's
+vector is the canonical renumbering (classes 1.. by first occurrence), and
+its table names each product by its class's least member.
 """
 
 import weakref
@@ -52,24 +58,20 @@ def _canonical(first):
 
 @dataclass(frozen=True)
 class Congruence:
-    """A class vector over the elements of a table, 1-based, canonical."""
+    """A class vector over the elements of a table (1-based and canonical from find_congruences)."""
 
     labels: tuple
     vector: tuple
-    kind: str = "cc"
 
     @property
     def n_classes(self):
-        return max(self.vector)
+        return len(set(self.vector))
 
     def classes(self):
         out = {}
         for lbl, c in zip(self.labels, self.vector):
             out.setdefault(c, []).append(lbl)
         return out
-
-    def as_dict(self):
-        return dict(zip(self.labels, self.vector))
 
 
 def _translations(sg):
@@ -257,25 +259,24 @@ def find_congruences(sg, max_bytes=None):
     return [Congruence(sg.st, v) for v in vectors]
 
 
-def _first_members(t, vector):
-    """Each element's first class-mate, or None if the classes are no congruence.
+def _first_members(sg, vector):
+    """Each element's least class-mate, or None if the classes are no congruence.
 
-    In a congruence, replacing both factors of a product by their first
-    class-mates never changes the product's class.
+    Elements share a class when their ids are equal, and the ids may be of
+    any kind: ints in any order or scale, or strings. In a congruence,
+    replacing both factors of a product by their least class-mates never
+    changes the product's class.
     """
-    first = {}
-    rep = np.array([first.setdefault(c, i) for i, c in enumerate(vector)], dtype=int)
     v = np.asarray(vector)
-    if (v[t] != v[t[np.ix_(rep, rep)]]).any():
-        return None
-    return rep
+    if v.shape != (sg.order,):
+        raise ValidationError("class vector length must match the table")
+    rep, t = np.argmax(v[:, None] == v, axis=1), sg._idx
+    return None if (rep[t] != rep[t[rep[:, None], rep]]).any() else rep
 
 
 def is_congruence(sg, vector):
     """Does the class vector satisfy the substitution property?"""
-    if len(vector) != sg.order:
-        raise ValidationError("class vector length must match the table")
-    return _first_members(sg._idx, vector) is not None
+    return _first_members(sg, vector) is not None
 
 
 # ---------------------------------------------------------------- quasi-orders
@@ -293,9 +294,6 @@ class PiRelation:
     @property
     def size(self):
         return int(self.matrix.sum())
-
-    def contains(self, other):
-        return bool((other.matrix <= self.matrix).all())
 
     def key(self):
         return self.matrix.tobytes()
@@ -401,30 +399,18 @@ class Reduction:
     vector: tuple
     table: list
     order: Poset = None
-    kind: str = "cc"
-
-    def as_dict(self):
-        out = {
-            "classes": dict(zip(self.labels, self.vector)),
-            "table": self.table,
-        }
-        if self.order is not None:
-            out["order"] = self.order.to_dict()
-        return out
 
 
-def _quotient(sg, vector, q=None, kind="cc"):
-    t = sg._idx
-    rep = _first_members(t, vector)
+def _quotient(sg, vector, q=None):
+    """The table (and order q) over each class's least member, by label."""
+    rep = _first_members(sg, vector)
     if rep is None:
         raise ValidationError("partition is not a congruence of the table")
-    # the vector numbers its classes 1.. by first occurrence
     firsts = np.flatnonzero(rep == np.arange(len(rep)))
-    reps = [sg.st[i] for i in firsts]
-    classes = np.asarray(vector)[t[np.ix_(firsts, firsts)]] - 1
-    qt = [[reps[c] for c in row] for row in classes.tolist()]
-    order = None if q is None else Poset(reps, np.asarray(q)[np.ix_(firsts, firsts)])
-    return Reduction(tuple(sg.st), tuple(vector), qt, order, kind)
+    labels = np.array(sg.st, dtype=object)
+    table = labels[rep[sg._idx[firsts[:, None], firsts]]].tolist()
+    order = None if q is None else Poset(labels[firsts], np.asarray(q)[firsts[:, None], firsts])
+    return Reduction(tuple(sg.st), _canonical(rep), table, order)
 
 
 def decompose(sg, parts, mode="cc"):
@@ -436,17 +422,10 @@ def decompose(sg, parts, mode="cc"):
     strongest reduction that still separates the atom.
     """
     if mode == "cc":
-        return [_quotient(sg, c.vector, kind="cc") for c in parts]
+        return [_quotient(sg, c.vector) for c in parts]
     if mode not in ("atoms", "mca"):
         raise ValidationError(f"unknown decomposition mode {mode!r}")
     if not isinstance(parts, PiLattice):
         raise ValidationError("atoms/mca modes need the factorize() result")
-    out = []
-    for atom in parts.atoms():
-        source = atom if mode == "atoms" else parts.designated_complement(atom)
-        if source is None:
-            continue
-        out.append(
-            _quotient(sg, source.partition(), q=source.matrix, kind=mode)
-        )
-    return out
+    sources = (a if mode == "atoms" else parts.designated_complement(a) for a in parts.atoms())
+    return [_quotient(sg, s.partition(), q=s.matrix) for s in sources if s is not None]

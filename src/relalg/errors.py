@@ -6,15 +6,27 @@ fixpoints that refuse to settle). The CLI maps them to exit codes 2 and 3.
 Each cap on a computation is read by `read_cap`.
 """
 
+import operator
 import os
 
 
 def read_cap(value, env, default):
-    """A computation's cap: value if given, else the variable env if set, else default."""
-    if value is not None:
-        return int(value)
-    text = os.environ.get(env)
-    return int(text) if text else default
+    """A computation's cap: value if given, else the variable env if set, else default.
+
+    A cap is a whole number >= 0; any other raises ValidationError naming its source.
+    """
+    source = f"the cap argument in place of {env}"
+    if value is None:
+        source, value = env, os.environ.get(env)
+        if not value:
+            return default
+    try:
+        cap = int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        cap = -1
+    if cap < 0:
+        raise ValidationError(f"{source} must be a whole number >= 0, not {value!r}")
+    return cap
 
 
 class RelalgError(Exception):

@@ -17,6 +17,8 @@ relation boxes read a word's element off the closure's first k levels as
 its prefix's element times its last letter: only the closure multiplies.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ClosureTooLargeError, ValidationError, read_cap
@@ -373,7 +375,7 @@ def transitive_closure(matrix):
     m = np.array(matrix, dtype=bool, order="C")
     diag = np.arange(m.shape[-1])
     m[..., diag, diag] = True
-    stack = m.reshape(-1, *m.shape[-2:])
+    stack = m.reshape(math.prod(m.shape[:-2]), *m.shape[-2:])
     active = np.arange(len(stack))
     while active.size:
         part = stack[active]

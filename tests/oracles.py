@@ -264,6 +264,21 @@ def all_congruences(table):
     return found
 
 
+def quotient(table, labels, vector):
+    """The quotient table by label of each class's first member, or None if no congruence.
+
+    Cell by cell: the class of the product of two first members, named by
+    that class's own first member.
+    """
+    first = {}
+    for x, c in enumerate(vector):
+        first.setdefault(c, x)
+    if not is_congruence(table, [{x for x in range(len(table)) if vector[x] == c} for c in first]):
+        return None
+    reps = sorted(first.values())
+    return [[labels[first[vector[table[x][y]]]] for y in reps] for x in reps]
+
+
 def partition_tuple(blocks, n):
     """Canonical class vector: classes numbered by first occurrence."""
     cls = [None] * n

@@ -19,7 +19,7 @@ from relalg import (
     make_signed,
     string_partial_order,
 )
-from relalg.cli import main
+from relalg.cli import NETWORK, main
 from relalg.netcore import network_to_dict
 
 
@@ -452,6 +452,57 @@ class TestEmptyInputs:
         r = runner.invoke(main, ["dot", "hasse", str(p)])
         assert r.exit_code == 0, r.output
         assert r.output.startswith("digraph hasse {")
+
+
+NO_ACTORS = {"actors": [], "relations": [{"name": "A", "ties": []}]}
+# Every command that reads a network, with the options it needs on NO_ACTORS.
+NETWORK_COMMANDS = [
+    ["census"], ["relsys", "--bonds", "strong"], ["semigroup"], ["equations"],
+    ["order"], ["rbox"], ["cph"], ["reduce", "--classes", "NO_CLASSES"],
+    ["signed", "--positive", "A", "--negative", "A"],
+    ["semiring", "--positive", "A", "--negative", "A", "--closure"], ["dot", "multigraph"],
+]
+
+
+def test_every_network_command_is_listed():
+    reads = {c for c in main.commands if NETWORK in [p.type for p in main.commands[c].params]}
+    assert reads | {"dot"} == {c[0] for c in NETWORK_COMMANDS}
+
+
+@pytest.mark.parametrize("command", NETWORK_COMMANDS, ids=" ".join)
+def test_network_over_no_actors(command, tmp_path):
+    """Every command that reads a network runs on one over no actors."""
+    net, classes = tmp_path / "none.json", tmp_path / "classes.json"
+    net.write_text(json.dumps(NO_ACTORS))
+    classes.write_text("{}")
+    at = 2 if command[0] == "dot" else 1
+    args = [{"NO_CLASSES": str(classes)}.get(a, a) for a in command]
+    r = run_process(*args[:at], str(net), *args[at:])
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == ""
+
+
+MALFORMED_CAPS = {
+    "closure-env": ({"RELALG_MAX_CLOSURE": "abc"}, ["semigroup", "NET"], "RELALG_MAX_CLOSURE"),
+    "closure-negative": ({}, ["semigroup", "NET", "--max-elements", "-1"], "RELALG_MAX_CLOSURE"),
+    "decomp-env": ({"RELALG_MAX_DECOMP_BYTES": "1e9"}, ["decomp", "SG"], "RELALG_MAX_DECOMP_BYTES"),
+    "concepts-env": ({"RELALG_MAX_CONCEPTS": "-5"}, ["galois", "CTX"], "RELALG_MAX_CONCEPTS"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CAPS))
+def test_malformed_cap_exits_2(case, files, monkeypatch):
+    env, command, name = MALFORMED_CAPS[case]
+    for k, v in env.items():
+        monkeypatch.setenv(k, v)
+    inputs = {"NET": files["netcs"], "SG": str(DATA / "netcs_semigroup.json"), "CTX": files["g20"]}
+    r = run_process(*(inputs.get(a, a) for a in command))
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ") and name in r.stderr
+    assert "must be a whole number >= 0" in r.stderr
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stdout == ""
 
 
 NETCS_ST = golden("netcs_semigroup.json")["st"]

@@ -415,6 +415,26 @@ class TestDecompose:
             with pytest.raises(ValidationError):
                 decompose(netcs_sg, [bogus], mode="cc")
 
+    @pytest.mark.parametrize("relabel", [
+        lambda c: c, lambda c: 3 - c, lambda c: 10 * c, lambda c: "ab"[c - 1],
+    ], ids=["canonical", "swapped", "times-ten", "letters"])
+    def test_any_class_ids_give_the_canonical_quotient(self, netcs_sg, relabel):
+        vector = tuple(relabel(c) for c in (1, 2, 1, 1, 1, 1, 2, 1, 1, 1))
+        assert is_congruence(netcs_sg, vector)
+        congruence = decomp.Congruence(netcs_sg.st, vector)
+        assert congruence.n_classes == 2
+        (r,) = decompose(netcs_sg, [congruence], mode="cc")
+        assert r.vector == (1, 2, 1, 1, 1, 1, 2, 1, 1, 1)
+        assert r.table == [["C", "C"], ["C", "F"]]
+
+    @pytest.mark.parametrize("length", [0, 9, 11])
+    def test_vector_of_the_wrong_length_rejected(self, netcs_sg, length):
+        vector = ([1, 2] * 6)[:length]
+        with pytest.raises(ValidationError, match="length"):
+            decompose(netcs_sg, [decomp.Congruence(netcs_sg.st, vector)], mode="cc")
+        with pytest.raises(ValidationError, match="length"):
+            is_congruence(netcs_sg, vector)
+
     def test_unknown_mode(self, netcs_sg):
         with pytest.raises(ValidationError):
             decompose(netcs_sg, [], mode="upside-down")

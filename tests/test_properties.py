@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import oracles
+from conftest import canonical
 from relalg import (
     BALANCE,
     CLUSTER,
@@ -15,6 +16,7 @@ from relalg import (
     Poset,
     RelationMatrix,
     SignedMatrix,
+    ValidationError,
     balance_closure,
     build_relation_box,
     build_semigroup,
@@ -22,6 +24,7 @@ from relalg import (
     concept_order,
     concepts,
     cumulated_hierarchy,
+    decompose,
     derive,
     equations,
     extent,
@@ -42,7 +45,7 @@ from relalg.netcore import (
     _BLOCK_WORDS, bool_product, classes, connected_components, containment,
 )
 from relalg.signed import VALENCES, _product
-from relalg.decomp import _translations
+from relalg.decomp import Congruence, _translations
 from relalg.dot import hasse_dot
 
 COMMON = dict(derandomize=True, deadline=None)
@@ -794,6 +797,64 @@ class TestCongruenceCheck:
         )
         blocks = [{x for x, c in enumerate(vector) if c == k} for k in set(vector)]
         assert is_congruence(sg, vector) == oracles.is_congruence(table, blocks)
+
+
+@st.composite
+def relabelling(draw, vector):
+    """The vector with its class ids swapped for distinct ints of any scale, or strings."""
+    ids = sorted(set(vector))
+    kind = draw(st.sampled_from([st.integers(-10**12, 10**12), st.text("abcxyz", max_size=3)]))
+    fresh = draw(st.lists(kind, min_size=len(ids), max_size=len(ids), unique=True))
+    return tuple(dict(zip(ids, fresh))[c] for c in vector)
+
+
+class TestQuotient:
+    """Every quotient matches the per-cell oracle under any relabelling of the
+    class ids, and reports the canonical vector."""
+
+    @settings(max_examples=200, **COMMON)
+    @given(table_and_classes(), st.data())
+    def test_cc_and_check_match_the_oracle(self, case, data):
+        table, vector = case
+        sg = semigroup_from_dict(
+            {"st": actor_names(len(table)), "table": [[c + 1 for c in row] for row in table]}
+        )
+        ids = data.draw(relabelling(vector))
+        want = oracles.quotient(table, sg.st, vector)
+        assert is_congruence(sg, ids) == (want is not None)
+        if want is None:
+            with pytest.raises(ValidationError):
+                decompose(sg, [Congruence(sg.st, ids)], mode="cc")
+            return
+        (r,) = decompose(sg, [Congruence(sg.st, ids)], mode="cc")
+        assert (r.vector, r.table) == (canonical(vector), want)
+
+    @settings(
+        max_examples=60, suppress_health_check=[HealthCheck.filter_too_much], **COMMON
+    )
+    @given(network(max_n=4, min_slices=2), st.data())
+    def test_lattice_sources_match_the_oracle(self, net, data):
+        strings = small_closure(net, cap=12)
+        sg = build_semigroup(strings)
+        table = sg.index_table()
+        lattice = factorize(sg, string_partial_order(strings))
+        for mode in ("atoms", "mca"):
+            sources = [
+                a if mode == "atoms" else lattice.designated_complement(a) for a in lattice.atoms()
+            ]
+            sources = [s for s in sources if s is not None]
+            got = decompose(sg, lattice, mode=mode)
+            assert len(got) == len(sources)
+            for r, source in zip(got, sources):
+                vector = source.partition()
+                want = oracles.quotient(table, sg.st, vector)
+                assert (r.vector, r.table) == (canonical(vector), want)
+                firsts = [vector.index(c) for c in sorted(set(vector))]
+                assert r.order.labels == tuple(sg.st[x] for x in firsts)
+                assert (r.order.matrix == source.matrix[np.ix_(firsts, firsts)]).all()
+                ids = data.draw(relabelling(vector))
+                (again,) = decompose(sg, [Congruence(sg.st, ids)], mode="cc")
+                assert (again.vector, again.table) == (r.vector, r.table)
 
 
 class TestHierarchies:

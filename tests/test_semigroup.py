@@ -96,6 +96,21 @@ class TestGenerateStrings:
         monkeypatch.setenv("RELALG_MAX_CLOSURE", "100")
         assert generate_strings(ncc).order == 17
 
+    @pytest.mark.parametrize("cap", [-1, 2.5, "abc", "1e9"])
+    def test_malformed_cap_rejected(self, ncc, cap):
+        with pytest.raises(ValidationError, match="must be a whole number >= 0"):
+            generate_strings(ncc, max_elements=cap)
+
+    @pytest.mark.parametrize("text", ["abc", "1e9", "-1", "2.5"])
+    def test_malformed_cap_in_the_environment_rejected(self, ncc, monkeypatch, text):
+        monkeypatch.setenv("RELALG_MAX_CLOSURE", text)
+        with pytest.raises(ValidationError, match=f"RELALG_MAX_CLOSURE must be .*{text!r}"):
+            generate_strings(ncc)
+
+    def test_cap_of_zero_is_a_cap(self, ncc):
+        with pytest.raises(ClosureTooLargeError):
+            generate_strings(ncc, max_elements=0)
+
     def test_generator_elements(self, netcs):
         st = generate_strings(netcs)
         assert st.generator_elements == (("C", 0), ("F", 1), ("K", 2))
@@ -106,6 +121,10 @@ class TestGenerateStrings:
         st = generate_strings(net)
         assert st.st == ("A",) and st.right.tolist() == [[0, 0]]
         assert build_semigroup(st).table == [[1]]
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 2, 2)])
+    def test_closure_of_empty_matrices(self, shape):
+        assert semigroup.transitive_closure(np.zeros(shape, dtype=bool)).shape == shape
 
     def test_duplicate_generator_images_collapse(self):
         actors = ["a", "b"]
