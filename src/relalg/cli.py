@@ -86,18 +86,14 @@ def _split(spec):
     return [x.strip() for x in spec.split(",") if x.strip()]
 
 
-def _print_matrix(row_labels, col_labels, rows):
+def _print_matrix(labels, rows):
+    labels = [str(lbl) for lbl in labels]
     cells = [[str(x) for x in row] for row in rows]
-    widths = [
-        max([len(str(col_labels[j]))] + [len(r[j]) for r in cells])
-        for j in range(len(col_labels))
-    ]
-    head = max((len(str(l)) for l in row_labels), default=0)
-    click.echo(
-        " " * head + "  " + " ".join(str(c).rjust(w) for c, w in zip(col_labels, widths))
-    )
-    for lbl, row in zip(row_labels, cells):
-        click.echo(str(lbl).rjust(head) + "  " + " ".join(c.rjust(w) for c, w in zip(row, widths)))
+    widths = [max([len(lbl)] + [len(r[j]) for r in cells]) for j, lbl in enumerate(labels)]
+    head = max(map(len, labels), default=0)
+    click.echo(" " * head + "  " + " ".join(lbl.rjust(w) for lbl, w in zip(labels, widths)))
+    for lbl, row in zip(labels, cells):
+        click.echo(lbl.rjust(head) + "  " + " ".join(c.rjust(w) for c, w in zip(row, widths)))
 
 
 @click.group(cls=_Relalg)
@@ -137,7 +133,7 @@ def relsys(network, bonds, fmt):
     else:
         for s in system.slices:
             click.echo(f"${s.name}")
-            _print_matrix(system.actors, system.actors, s.cells.astype(int))
+            _print_matrix(system.actors, s.cells.astype(int))
 
 
 @main.command()
@@ -155,7 +151,7 @@ def semigroup(network, symbolic, transposes, max_elements, out):
         _write(out, json.dumps(data, indent=1))
     click.echo(f"order: {sg.order}")
     click.echo("st: " + " ".join(sg.st))
-    _print_matrix(sg.st, sg.st, data["table"])
+    _print_matrix(sg.st, data["table"])
     if out:
         click.echo(f"wrote {out}")
 
@@ -176,7 +172,7 @@ def equations(network, k, transposes):
 def order(network, transposes):
     """Containment order among the distinct string relations."""
     po = string_partial_order(generate_strings(network, include_transposes=transposes))
-    _print_matrix(po.labels, po.labels, po.matrix.astype(int))
+    _print_matrix(po.labels, po.matrix.astype(int))
 
 
 @main.command()
@@ -206,7 +202,7 @@ def rbox(network, k, transposes, out):
 def cph(network, k, transposes):
     """Cumulated actor hierarchy over the relation box."""
     po = cumulated_hierarchy(build_relation_box(network, k=k, include_transposes=transposes))
-    _print_matrix(po.labels, po.labels, po.matrix.astype(int))
+    _print_matrix(po.labels, po.matrix.astype(int))
 
 
 def _parse_classes(spec):
@@ -236,7 +232,7 @@ def reduce(network, classes):
     click.echo("classes: " + " ".join(system.class_labels))
     for img in system.images:
         click.echo(f"${img.name}")
-        _print_matrix(system.class_labels, system.class_labels, img.cells.astype(int))
+        _print_matrix(system.class_labels, img.cells.astype(int))
 
 
 @main.command()
@@ -258,7 +254,7 @@ def decomp(sg, po, mode):
     for i, c in enumerate(found, start=1):
         click.echo(f"[{i}] " + " ".join(str(x) for x in c.vector))
         if mode == "mca":
-            _print_matrix(c.order.labels, c.order.labels, c.table)
+            _print_matrix(c.order.labels, c.table)
 
 
 @main.command()
@@ -269,7 +265,7 @@ def signed(network, positive, negative):
     """Fold two tie matrices into one p/n/a/o letter matrix."""
     s = make_signed(network.slice(positive), network.slice(negative))
     click.echo("val: " + " ".join(s.val))
-    _print_matrix(s.actors, s.actors, s.cells)
+    _print_matrix(s.actors, s.cells)
 
 
 @main.command()
@@ -290,7 +286,7 @@ def semiring(network, positive, negative, cluster, paths, k, closure):
     else:
         q = semiring_powers(s, spec, k=k, semipaths=not paths)
     click.echo("val: " + " ".join(q.val))
-    _print_matrix(q.actors, q.actors, q.cells)
+    _print_matrix(q.actors, q.cells)
     if closure:
         click.echo(f"verdict: {verdict.verdict}")
         if verdict.witness:
@@ -324,7 +320,7 @@ def galois(context, reduced, show_order, filter_of, ideal):
             ext = ", ".join(sorted(c.extent))
             click.echo(f"c{c.index}: {{{intent}}} {{{ext}}}")
     if show_order:
-        _print_matrix(co.labels, co.labels, co.matrix.astype(int))
+        _print_matrix(co.labels, co.matrix.astype(int))
     for line in picked:
         click.echo(line)
 

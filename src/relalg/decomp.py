@@ -25,10 +25,11 @@ the results of the pairs it reaches, so it is settled once per strongly
 connected component, and a level of components at a time.
 
 A class vector is read in one place, `_first_members`: each element's least
-class-mate, from class ids of any kind, checked for the substitution
-property. `is_congruence` and every quotient go through it. A quotient's
-vector is the canonical renumbering (classes 1.. by first occurrence), and
-its table names each product by its class's least member.
+class-mate, the first element whose id equals its own as a Python value,
+checked for the substitution property. `is_congruence` and every quotient
+go through it. A quotient's vector is the canonical renumbering (classes
+1.. by first occurrence), and its table names each product by its class's
+least member.
 """
 
 import weakref
@@ -62,16 +63,6 @@ class Congruence:
 
     labels: tuple
     vector: tuple
-
-    @property
-    def n_classes(self):
-        return len(set(self.vector))
-
-    def classes(self):
-        out = {}
-        for lbl, c in zip(self.labels, self.vector):
-            out.setdefault(c, []).append(lbl)
-        return out
 
 
 def _translations(sg):
@@ -262,15 +253,19 @@ def find_congruences(sg, max_bytes=None):
 def _first_members(sg, vector):
     """Each element's least class-mate, or None if the classes are no congruence.
 
-    Elements share a class when their ids are equal, and the ids may be of
-    any kind: ints in any order or scale, or strings. In a congruence,
-    replacing both factors of a product by their least class-mates never
-    changes the product's class.
+    Elements share a class when their ids are equal as Python values, so
+    ids may be hashables of any kind, and 1 and '1' are different classes.
+    In a congruence, replacing both factors of a product by their least
+    class-mates never changes the product's class.
     """
-    v = np.asarray(vector)
-    if v.shape != (sg.order,):
+    first = {}
+    try:
+        rep = np.array([first.setdefault(x, i) for i, x in enumerate(vector)], dtype=int)
+    except TypeError as exc:
+        raise ValidationError("class vector must list one hashable id per element") from exc
+    if isinstance(vector, str) or rep.shape != (sg.order,):
         raise ValidationError("class vector length must match the table")
-    rep, t = np.argmax(v[:, None] == v, axis=1), sg._idx
+    t = sg._idx
     return None if (rep[t] != rep[t[rep[:, None], rep]]).any() else rep
 
 

@@ -20,7 +20,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import TooManyConceptsError, ValidationError, read_cap
-from .netcore import _array, _check_labels, bool_product, bool_rows, containment, string_list
+from .netcore import (
+    _array, _check_labels, bool_product, bool_rows, containment, required, string_list,
+)
 from .semigroup import Poset
 
 # ConceptOrder holds C x C bools: 400 MB at this many concepts.
@@ -41,13 +43,10 @@ class FormalContext:
 
     @classmethod
     def from_dict(cls, data):
-        try:
-            objects, attributes = data["objects"], data["attributes"]
-            incidence = data["incidence"]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(
-                'context JSON needs "objects", "attributes", "incidence"'
-            ) from exc
+        objects, attributes, incidence = required(
+            data, 'context JSON needs "objects", "attributes", "incidence"',
+            "objects", "attributes", "incidence",
+        )
         nobj = len(string_list(objects, 'context "objects"'))
         natt = len(string_list(attributes, 'context "attributes"'))
         return cls(objects, attributes, bool_rows(incidence, nobj, natt, 'context "incidence"'))

@@ -294,6 +294,14 @@ def permute(matrix, clustering):
 # ---------------------------------------------------------------------------
 # JSON interchange
 
+def required(data, what, *keys):
+    """data[key] for each key, if data is a mapping that holds them all."""
+    try:
+        return [data[key] for key in keys]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(what) from exc
+
+
 def string_list(value, what):
     """value itself, if it is a list of distinct strings."""
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
@@ -316,22 +324,15 @@ def bool_rows(value, nrows, ncols, what):
 
 
 def network_from_dict(data):
-    try:
-        actors = data["actors"]
-        relations = data["relations"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(
-            'network JSON needs "actors" and "relations" keys'
-        ) from exc
+    actors, relations = required(
+        data, 'network JSON needs "actors" and "relations" keys', "actors", "relations"
+    )
     string_list(actors, '"actors"')
     if not isinstance(relations, list) or not relations:
         raise ValidationError('"relations" must be a nonempty list')
     slices = []
     for rel in relations:
-        try:
-            name, ties = rel["name"], rel["ties"]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError('each relation needs "name" and "ties"') from exc
+        name, ties = required(rel, 'each relation needs "name" and "ties"', "name", "ties")
         if not isinstance(ties, list):
             raise ValidationError(f"relation {name!r}: ties must be a list of pairs")
         slices.append(RelationMatrix.from_ties(name, actors, ties))

@@ -11,10 +11,10 @@ representative followed by one letter. The closure grows the tree a level
 at a time, with one boolean product per block of a level: the level's
 images stacked against every letter side by side. It keeps ``right[i, a]``,
 the index of element i times letter a (the right Cayley graph of Froidure
-and Pin), and the table follows from it column by column, since x(pa) =
-(xp)a. No product of two elements is ever formed. Word equations and
-relation boxes read a word's element off the closure's first k levels as
-its prefix's element times its last letter: only the closure multiplies.
+and Pin). The table walks the word tree once, a column-major column per
+word, since x(pa) = (xp)a; no product of two elements is ever formed. Word
+equations and relation boxes read a word's element off the first k levels
+as its prefix's element times its last letter: only the closure multiplies.
 """
 
 import math
@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ClosureTooLargeError, ValidationError, read_cap
 from .netcore import (
     _BLOCK_CELLS, _array, _check_labels, bool_product, bool_rows, containment,
-    permutation_order, string_list,
+    permutation_order, required, string_list,
 )
 
 DEFAULT_MAX_CLOSURE = 100_000
@@ -174,40 +174,30 @@ class Semigroup:
         }
 
 
-def _transpose(a, block=256):
-    """Transpose a square array in place, a pair of blocks at a time."""
-    for i in range(0, len(a), block):
-        rows = slice(i, i + block)
-        a[rows, rows] = a[rows, rows].T.copy()
-        for j in range(i + block, len(a), block):
-            cols = slice(j, j + block)
-            upper = a[rows, cols].copy()
-            a[rows, cols] = a[cols, rows].T
-            a[cols, rows] = upper.T
-    return a
-
-
 def build_semigroup(strings, fmt="numerical"):
     """Multiplication table over a closed string set, one column per element.
 
-    Walks ``right`` breadth first: a generator's column is ``right[:, a]``, an
-    element first reached as p times letter a gets ``right[T[:, p], a]``.
-    The columns are written as the rows of one array, which is then
-    transposed in place, so only one table is ever held.
+    Walks the word tree in st order: a letter's column is ``right[:, a]``, and
+    word p·a's column is ``right[T[:, p], a]``, its prefix's column mapped
+    through its last letter. The table is column-major, so each column is
+    written, and each prefix's column read, as one contiguous run.
     """
-    n = strings.order
-    cols = np.empty((n, n), dtype=int)           # the transpose, filled by rows
-    reached = set()
-    edges = [(np.arange(n), a, g) for a, (_, g) in enumerate(strings.generator_elements)]
-    for col, a, j in edges:                      # grows as elements are reached
-        if j not in reached:
-            reached.add(j)
-            cols[j] = strings.right[col, a]
-            edges += [(cols[j], b, k) for b, k in enumerate(strings.right[j].tolist())]
-    if len(reached) < n:
-        missing = strings.st[min(set(range(n)) - reached)]
-        raise ValidationError(f"{missing} is not a product of letters; not a closed StringSet")
-    return Semigroup(strings.st, strings.generator_elements, _transpose(cols), fmt)
+    n, right = strings.order, strings.right
+    cols = list(right.T.copy())                 # right[:, a], each contiguous
+    letters = {(name,): a for a, name in enumerate(strings.alphabet)}
+    table, at = np.empty((n, n), dtype=int, order="F"), {}
+    for j, word in enumerate(strings.words):
+        if word in letters:
+            table[:, j] = cols[letters[word]]
+        else:
+            p, a = at.get(word[:-1]), letters.get(word[-1:])
+            if p is None or a is None or right[p, a] != j:
+                raise ValidationError(
+                    f"{strings.st[j]} is not a product of letters; not a closed StringSet"
+                )
+            table[:, j] = cols[a][table[:, p]]
+        at[word] = j
+    return Semigroup(strings.st, strings.generator_elements, table, fmt)
 
 
 def semigroup_from_dict(data):
@@ -216,10 +206,7 @@ def semigroup_from_dict(data):
     The word tables are gone at this point, so the result supports table
     algebra (congruences, quotients, Cayley graphs) but not matrix queries.
     """
-    try:
-        st, table = data["st"], data["table"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError('semigroup JSON needs "st" and "table"') from exc
+    st, table = required(data, 'semigroup JSON needs "st" and "table"', "st", "table")
     n = len(string_list(st, 'semigroup "st"'))
     if not isinstance(table, list) or len(table) != n or any(
         not isinstance(row, list) or len(row) != n for row in table
@@ -358,10 +345,8 @@ class Poset:
 
     @classmethod
     def from_dict(cls, data):
-        try:
-            labels, matrix = data["labels"], data["matrix"]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError('poset JSON needs "labels" and "matrix"') from exc
+        what = 'poset JSON needs "labels" and "matrix"'
+        labels, matrix = required(data, what, "labels", "matrix")
         n = len(string_list(labels, 'poset "labels"'))
         return cls(labels, bool_rows(matrix, n, n, 'poset "matrix"'))
 

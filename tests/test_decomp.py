@@ -63,7 +63,7 @@ class TestFindCongruences:
         found = find_congruences(netcs_sg)
         vectors = [c.vector for c in found]
         assert len(set(vectors)) == len(vectors)
-        sizes = [c.n_classes for c in found]
+        sizes = [len(set(c.vector)) for c in found]
         assert sizes == sorted(sizes, reverse=True)
 
     def test_identity_partition_never_reported(self, netcs_sg):
@@ -92,7 +92,9 @@ class TestFindCongruences:
             c for c in find_congruences(netcs_sg)
             if c.vector == canonical(golden("netcs_congruences.json")["cc"][3])
         )
-        classes = c.classes()
+        classes = {}
+        for lbl, cls in zip(c.labels, c.vector):
+            classes.setdefault(cls, []).append(lbl)
         assert classes[1] == ["C", "F", "CC", "CF", "FF", "KC", "KF", "CKF"]
         assert classes[2] == ["K", "CK"]
 
@@ -417,12 +419,12 @@ class TestDecompose:
 
     @pytest.mark.parametrize("relabel", [
         lambda c: c, lambda c: 3 - c, lambda c: 10 * c, lambda c: "ab"[c - 1],
-    ], ids=["canonical", "swapped", "times-ten", "letters"])
+        lambda c: (1, "1")[c - 1],
+    ], ids=["canonical", "swapped", "times-ten", "letters", "int-and-string"])
     def test_any_class_ids_give_the_canonical_quotient(self, netcs_sg, relabel):
         vector = tuple(relabel(c) for c in (1, 2, 1, 1, 1, 1, 2, 1, 1, 1))
         assert is_congruence(netcs_sg, vector)
         congruence = decomp.Congruence(netcs_sg.st, vector)
-        assert congruence.n_classes == 2
         (r,) = decompose(netcs_sg, [congruence], mode="cc")
         assert r.vector == (1, 2, 1, 1, 1, 1, 2, 1, 1, 1)
         assert r.table == [["C", "C"], ["C", "F"]]
@@ -434,6 +436,41 @@ class TestDecompose:
             decompose(netcs_sg, [decomp.Congruence(netcs_sg.st, vector)], mode="cc")
         with pytest.raises(ValidationError, match="length"):
             is_congruence(netcs_sg, vector)
+
+    @pytest.mark.parametrize("vector", [
+        "abaaaabaaa", [1, [2], 1, 1, 1, 1, [2], 1, 1, 1], 7,
+    ], ids=["bare-string", "unhashable-id", "not-a-sequence"])
+    def test_vector_that_is_no_id_list_rejected(self, netcs_sg, vector):
+        with pytest.raises(ValidationError):
+            decompose(netcs_sg, [decomp.Congruence(netcs_sg.st, vector)], mode="cc")
+        with pytest.raises(ValidationError):
+            is_congruence(netcs_sg, vector)
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 5, 6, 7, 8], ids=lambda s: f"seed{s}")
+    def test_table_layout_changes_nothing(self, netcs, seed):
+        # build_semigroup fills a column-major table, semigroup_from_dict a row-major one
+        net = netcs
+        if seed is not None:
+            rng, actors = np.random.default_rng(seed), ["a", "b", "c"]
+            net = MultiplexNetwork(actors, [
+                RelationMatrix(k, actors, rng.random((3, 3)) < .35) for k in "AB"
+            ])
+        st = generate_strings(net)
+        sg = build_semigroup(st, "symbolic")
+        copy = semigroup_from_dict(sg.to_dict())
+        assert sg._idx.flags["F_CONTIGUOUS"] and copy._idx.flags["C_CONTIGUOUS"]
+        assert not copy._idx.flags["F_CONTIGUOUS"]
+
+        def outputs(table):
+            congruences = find_congruences(table)
+            lattice = factorize(table, string_partial_order(st))
+            reductions = decompose(table, congruences, "cc") + decompose(table, lattice, "mca")
+            return congruences, [(m.seed, m.key()) for m in lattice.members], [
+                (r.labels, r.vector, r.table, r.order and (r.order.labels, r.order.matrix.tolist()))
+                for r in reductions
+            ]
+
+        assert outputs(sg) == outputs(copy)
 
     def test_unknown_mode(self, netcs_sg):
         with pytest.raises(ValidationError):
