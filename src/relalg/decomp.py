@@ -39,14 +39,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DecompositionTooLargeError, ValidationError, read_cap
-from .netcore import _BLOCK_CELLS, classes, containment
+from .netcore import _BLOCK_CELLS, classes
 from .semigroup import Poset, transitive_closure
 
-# Bytes a search may hold: the pair graph's gather, then one result for each
-# component that may need its own close (most do, on large tables): n int32
-# for a congruence, n x n bools for a quasi-order.
+# Bytes a search may hold: its pair graph, charged before it is built, then
+# each distinct result as it is kept (n int32 a congruence, n x n bools a quasi-order).
 DEFAULT_MAX_DECOMP_BYTES = 2**30
-_EDGE_BYTES = 12   # the gather's peak per edge entry: int32 indices, targets, their sort
+_EDGE_BYTES = 12    # the gather's peak per edge entry: int32 indices, targets, their sort
+_NODE_BYTES = 704   # a node's share of a search's peak less its results, measured at order 674
 
 # Each table's translations; a Semigroup does not change once built.
 _TRANSLATIONS = weakref.WeakKeyDictionary()
@@ -159,13 +159,14 @@ def _pair_pass(maps, start, ids, xs, ys, close, holds, max_bytes=None):
     a level of components at a time, in blocks of _BLOCK_CELLS // n^2 parts.
     Returns the distinct results and each node's index among them.
 
-    Raises DecompositionTooLargeError when the gather, or once they are known
-    the components at start.nbytes each, would exceed the cap: max_bytes,
-    else RELALG_MAX_DECOMP_BYTES, else DEFAULT_MAX_DECOMP_BYTES.
+    Raises DecompositionTooLargeError when the gather and nodes, before they
+    are built, plus the results kept so far, start.nbytes each, would exceed
+    the cap: max_bytes, else RELALG_MAX_DECOMP_BYTES, else DEFAULT_MAX_DECOMP_BYTES.
     """
     n, size = len(start), len(xs)
     cap = read_cap(max_bytes, "RELALG_MAX_DECOMP_BYTES", DEFAULT_MAX_DECOMP_BYTES)
-    _budget(_EDGE_BYTES * size * len(maps), cap)
+    graph = (_EDGE_BYTES * len(maps) + _NODE_BYTES) * size   # the gather and the nodes
+    _budget(graph, cap)
     succ = np.sort(ids[maps[:, xs], maps[:, ys]], axis=0)
     keep = (succ >= 0) & (succ != np.arange(size))   # no edges into start, no self-loops
     keep[1:] &= succ[1:] != succ[:-1]
@@ -174,7 +175,6 @@ def _pair_pass(maps, start, ids, xs, ys, close, holds, max_bytes=None):
     edges, ends = memoryview(targets), np.cumsum(counts).tolist()   # views, not lists of ints
     comp = np.array(_components([edges[lo:hi] for lo, hi in zip([0] + ends, ends)]), dtype=int)
     count = int(comp.max(initial=-1)) + 1
-    _budget(count * start.nbytes, cap)
     links = _distinct(comp[np.repeat(np.arange(size), counts)] * count + comp[targets])
     nodes = np.split(np.argsort(comp, kind="stable"), np.cumsum(np.bincount(comp))[:-1])
     level, lower = [0] * count, [[] for _ in range(count)]
@@ -199,6 +199,7 @@ def _pair_pass(maps, start, ids, xs, ys, close, holds, max_bytes=None):
                 key = q.tobytes()
                 result[c] = keys.setdefault(key, len(keys))
                 if result[c] == len(found):
+                    _budget(graph + (len(found) + 1) * start.nbytes, cap)
                     found.append(np.frombuffer(key, dtype=start.dtype).reshape(start.shape))
     return found, np.array(result, dtype=int)[comp]
 
@@ -303,35 +304,34 @@ class PiRelation:
 class PiLattice:
     """The distinct principal compatible quasi-orders over a table + order.
 
-    On its first query the lattice builds one inclusion matrix over its
-    members, `containment` of their flattened cells, and keeps its strict
-    part `_lt`. `atoms`, `meet_complements` and `designated_complement` are
-    masks on it; none compares members itself.
+    A member other than the base is the least one above the base holding its
+    seed pair, so it lies inside member j exactly when member j holds that
+    seed (Freese's rule for principal congruences). The first query reads the
+    inclusion matrix `_leq` off the seeds, one k x k gather; the queries are masks on it.
     """
 
     def __init__(self, labels, base, members):
         self.labels = tuple(labels)
         self.base = base                      # the underlying partial order
         self.members = tuple(members)
-        self._cells = np.array([m.matrix.reshape(-1) for m in self.members], dtype=bool)
 
     @cached_property
-    def _lt(self):
-        """_lt[i, j]: member i lies strictly inside member j."""
-        leq = containment(self._cells)
-        return leq & ~leq.T
+    def _leq(self):
+        """_leq[i, j]: member j holds member i's seed cell, so member i lies inside it."""
+        at = {label: i for i, label in enumerate(self.labels)}
+        cells = np.array([at[m.seed[0]] * len(at) + at[m.seed[1]] if m.seed else 0
+                          for m in self.members])   # the base's: a diagonal cell, held by all
+        return np.array([m.matrix.take(cells) for m in self.members]).T
 
     def atoms(self):
-        """Inclusion-minimal members strictly above the base order."""
-        proper = ~(self._cells == np.reshape(self.base, -1)).all(axis=1)
-        has_lower = (self._lt & proper[:, None]).any(axis=0)
-        return [self.members[i] for i in np.flatnonzero(proper & ~has_lower)]
+        """Inclusion-minimal members above the base order: only it and the base lie inside one."""
+        return [self.members[i] for i in np.flatnonzero(self._leq.sum(axis=0) == 2)]
 
     def meet_complements(self, atom):
-        """Maximal members that do not contain the given atom."""
-        non = (atom.matrix.reshape(-1) & ~self._cells).any(axis=1)
-        has_upper = (self._lt & non[None, :]).any(axis=1)
-        return [self.members[i] for i in np.flatnonzero(non & ~has_upper)]
+        """Maximal members that do not contain the given atom, one of `members`."""
+        non = ~self._leq[self.members.index(atom)]
+        top = (self._leq & non).sum(axis=1) == 1   # only itself above it, among the non
+        return [self.members[i] for i in np.flatnonzero(non & top)]
 
     def designated_complement(self, atom):
         """The largest meet complement (ties broken by cell pattern)."""

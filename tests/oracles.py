@@ -453,6 +453,12 @@ def _contains(a, b):
     return bool((b <= a).all())
 
 
+def pi_inclusion(members, rows=None):
+    """[i][j] for each i in rows (all by default): member i lies inside member j."""
+    rows = range(len(members)) if rows is None else rows
+    return [[_contains(other, members[i]) for other in members] for i in rows]
+
+
 def pi_atoms(members, base):
     """Inclusion-minimal members strictly above the base order."""
     out = []

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,23 +171,18 @@ class TestPairGraph:
 
 
 class TestBudget:
-    """A search that would hold more bytes than its cap raises before the
-    gather (12 bytes an edge entry) or right after the components are
-    found (one result for each: n int32 for a congruence, n x n bools for a
-    quasi-order)."""
+    """A search that would hold more bytes than its cap raises: before the
+    gather, for the pair graph (12 bytes an edge entry and _NODE_BYTES a
+    node), and as each distinct result is kept, for the graph and every
+    result so far (n int32 for a congruence, n x n bools for a quasi-order)."""
 
     @staticmethod
     def search(kind, sg, po, cap=None):
         return find_congruences(sg, max_bytes=cap) if kind == "cc" else factorize(sg, po, cap)
 
-    @pytest.mark.parametrize("kind", ["cc", "pi"])
-    def test_cap_before_the_gather(self, netcs_sg, netcs_po, kind):
-        with pytest.raises(DecompositionTooLargeError) as exc:
-            self.search(kind, netcs_sg, netcs_po, 100)
-        n, rows = netcs_sg.order, len(decomp._translations(netcs_sg)[1])
-        assert exc.value.cap == 100 and exc.value.need % (12 * rows) == 0
-        if kind == "cc":   # one node per unordered pair
-            assert exc.value.need == 12 * rows * n * (n - 1) // 2
+    @staticmethod
+    def outputs(kind, found):
+        return found if kind == "cc" else [(m.seed, m.key()) for m in found.members]
 
     @staticmethod
     def components_counted(monkeypatch):
@@ -202,40 +198,74 @@ class TestBudget:
         monkeypatch.setattr(decomp, "_components", counted)
         return counts
 
+    @staticmethod
+    def charges(monkeypatch):
+        """A list that each later search appends the bytes of each charge to."""
+        needs = []
+        budget = decomp._budget
+
+        def charged(need, cap):
+            needs.append(need)
+            budget(need, cap)
+
+        monkeypatch.setattr(decomp, "_budget", charged)
+        return needs
+
+    @pytest.mark.parametrize("kind", ["cc", "pi"])
+    def test_cap_before_the_gather(self, netcs_sg, netcs_po, kind):
+        with pytest.raises(DecompositionTooLargeError) as exc:
+            self.search(kind, netcs_sg, netcs_po, 100)
+        n, rows = netcs_sg.order, len(decomp._translations(netcs_sg)[1])
+        per_node = 12 * rows + decomp._NODE_BYTES
+        assert exc.value.cap == 100 and exc.value.need % per_node == 0
+        if kind == "cc":   # one node per unordered pair
+            assert exc.value.need == per_node * n * (n - 1) // 2
+
+    @pytest.mark.parametrize("kind", ["cc", "pi"])
+    def test_cap_above_the_gather_stops_before_the_components(
+        self, netcs_sg, netcs_po, kind, monkeypatch
+    ):
+        with pytest.raises(DecompositionTooLargeError) as exc:
+            self.search(kind, netcs_sg, netcs_po, 0)
+        graph, rows = exc.value.need, len(decomp._translations(netcs_sg)[1])
+        gather = graph // (12 * rows + decomp._NODE_BYTES) * 12 * rows
+        counts = self.components_counted(monkeypatch)
+        with pytest.raises(DecompositionTooLargeError) as exc:
+            self.search(kind, netcs_sg, netcs_po, gather + 1)   # the gather fits, its nodes not
+        assert exc.value.need == graph and counts == []
+
     @pytest.mark.parametrize("kind", ["cc", "pi"])
     def test_cap_after_the_components(self, netcs_sg, netcs_po, kind, monkeypatch):
-        sg = netcs_sg
-        if kind == "cc":
-            # netcs's congruences are charged less than their gather; a nilpotent
-            # a, a^2, ..., a^n = 0 has a pair graph without cycles, one component a pair
-            n = 10
-            table = [[min(i + j + 1, n - 1) for j in range(n)] for i in range(n)]
-            sg = semigroup_from_dict(dict(tiny_semigroup(table).to_dict(), generators=[["a", 1]]))
-        with pytest.raises(DecompositionTooLargeError) as exc:
-            self.search(kind, sg, netcs_po, 0)
-        gather = exc.value.need
+        n = netcs_sg.order
+        charges = self.charges(monkeypatch)
+        want = self.outputs(kind, self.search(kind, netcs_sg, netcs_po))
+        graph, *kept = charges
+        result = 4 * n if kind == "cc" else n * n
+        assert len(kept) > 1 and kept == [graph + i * result for i in range(1, len(kept) + 1)]
+        if kind == "cc":   # one result a congruence
+            assert len(kept) == len(want)
         counts = self.components_counted(monkeypatch)
-        with pytest.raises(DecompositionTooLargeError) as exc:
-            self.search(kind, sg, netcs_po, gather)   # past the gather only
-        need, n = exc.value.need, sg.order
-        assert need > gather and need == counts[-1] * (4 * n if kind == "cc" else n * n)
-        got, want = (self.search(kind, sg, netcs_po, cap) for cap in (need, None))
-        if kind == "cc":
-            assert got == want
-        else:
-            assert [m.key() for m in got.members] == [m.key() for m in want.members]
+        for cap in (graph, kept[-1] - 1):   # below the kept results: raises mid-pass
+            with pytest.raises(DecompositionTooLargeError) as exc:
+                self.search(kind, netcs_sg, netcs_po, cap)
+            assert exc.value.need == min(k for k in kept if k > cap) and counts.pop() > 0
+        got = self.search(kind, netcs_sg, netcs_po, kept[-1])   # a cap equal to the need
+        assert self.outputs(kind, got) == want
 
     def test_a_cap_between_the_two_charges(self, netcs_sg, netcs_po, monkeypatch):
-        # at the congruence gather's cap, a congruence a component (4n bytes)
-        # fits where an n x n result would not, and factorize raises
-        with pytest.raises(DecompositionTooLargeError) as exc:
-            find_congruences(netcs_sg, max_bytes=0)
-        cap, n = exc.value.need, netcs_sg.order
-        counts = self.components_counted(monkeypatch)
+        # between the two result charges: past factorize's graph, room for its
+        # k results at a congruence's 4n bytes but not at n x n bools, so
+        # find_congruences runs and factorize stops mid-pass
+        n = netcs_sg.order
+        charges = self.charges(monkeypatch)
+        factorize(netcs_sg, netcs_po)
+        graph, kept = charges[0], len(charges) - 1
+        cap = graph + kept * 4 * n
         assert find_congruences(netcs_sg, max_bytes=cap) == find_congruences(netcs_sg)
-        assert counts[0] * 4 * n <= cap < counts[0] * n * n
-        with pytest.raises(DecompositionTooLargeError):
+        counts = self.components_counted(monkeypatch)
+        with pytest.raises(DecompositionTooLargeError) as exc:
             factorize(netcs_sg, netcs_po, cap)
+        assert counts and graph < exc.value.need <= graph + kept * n * n
 
     def test_cap_from_the_environment(self, netcs_sg, monkeypatch):
         monkeypatch.setenv("RELALG_MAX_DECOMP_BYTES", "1")
@@ -267,6 +297,32 @@ def test_searches_do_not_load_numpy_ma():
 
 
 class TestFactorize:
+    def test_lattice_holds_one_copy_of_its_members(self):
+        # the lattice order is read off the seeds, so neither factorize nor
+        # the queries copy the members' cells (k x n^2 bytes) a second time
+        rng = np.random.default_rng(6)
+        actors = [f"a{i}" for i in range(4)]
+        net = MultiplexNetwork(
+            actors, [RelationMatrix(s, actors, rng.random((4, 4)) < 0.35) for s in "AB"]
+        )
+        strings = generate_strings(net)
+        sg, po = build_semigroup(strings, "symbolic"), string_partial_order(strings)
+        assert sg.order >= 60
+        decomp._translations(sg)   # kept with the table, before tracing
+        tracemalloc.start()
+        try:
+            lattice = factorize(sg, po)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for atom in lattice.atoms():
+                lattice.meet_complements(atom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        members = sum(m.matrix.nbytes for m in lattice.members)
+        assert len(lattice.members) > 100 and lattice.atoms()
+        assert held < 1.5 * members and peak - held < members
+
     def test_two_element_chain_has_single_proper_coarsening(self):
         sg = tiny_semigroup([[0, 0], [0, 1]])
         po = Poset(["a", "b"], [[1, 1], [0, 1]])

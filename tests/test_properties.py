@@ -396,8 +396,34 @@ class TestCongruenceDP:
 
 
 class TestPiLatticeQueries:
-    """Atoms, meet complements and partitions read off the lattice's one
-    inclusion matrix match the pairwise comparisons, member for member."""
+    """The inclusion matrix read off the members' seeds, and the atoms, meet
+    complements and partitions read off it, match the pairwise comparisons,
+    member for member."""
+
+    @staticmethod
+    def check_inclusion(lattice):
+        want = oracles.pi_inclusion([m.matrix for m in lattice.members])
+        assert lattice._leq.tolist() == want   # and so the strict order, leq & ~leq.T
+
+    @pytest.mark.parametrize("fixture, transposes", [
+        ("netcs", False), ("netcs", True), ("ncc", False),
+    ])
+    def test_seed_order_on_the_fixtures(self, fixture, transposes, request):
+        strings = generate_strings(request.getfixturevalue(fixture), include_transposes=transposes)
+        lattice = factorize(build_semigroup(strings), string_partial_order(strings))
+        assert lattice.atoms()
+        self.check_inclusion(lattice)
+
+    def test_seed_order_at_order_674(self, ncc):
+        # ncc with transposes: 1148 members of 674 x 674 cells, within the
+        # default byte cap; every 40th member's row and each atom's
+        strings = generate_strings(ncc, include_transposes=True)
+        lattice = factorize(build_semigroup(strings), string_partial_order(strings))
+        members = [m.matrix for m in lattice.members]
+        atoms = [i for i, m in enumerate(lattice.members) if m in lattice.atoms()]
+        rows = sorted({*range(0, len(members), 40), *atoms})
+        assert (len(members), len(atoms)) == (1148, 4)
+        assert lattice._leq[rows].tolist() == oracles.pi_inclusion(members, rows)
 
     @settings(
         max_examples=150, suppress_health_check=[HealthCheck.filter_too_much], **COMMON
@@ -407,6 +433,7 @@ class TestPiLatticeQueries:
         strings = small_closure(net, cap=12)
         sg = build_semigroup(strings)
         lattice = factorize(sg, string_partial_order(strings))
+        self.check_inclusion(lattice)
         members = [m.matrix for m in lattice.members]
         pos = {id(m): i for i, m in enumerate(lattice.members)}
 
